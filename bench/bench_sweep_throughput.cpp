@@ -12,7 +12,10 @@
 //                        schedules at the tuned optimum under an
 //                        obs::ReportSink/Registry and write the whole
 //                        result (configs + A/B phase report + counters)
-//                        as BENCH_sweep.json (or PATH)
+//                        as BENCH_sweep.json (or PATH), together with
+//                        the bare sim::Engine chain rate measured in the
+//                        same process (the host normalizer for events/s)
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -27,6 +30,7 @@
 #include "tilo/core/plancache.hpp"
 #include "tilo/obs/registry.hpp"
 #include "tilo/obs/report.hpp"
+#include "tilo/sim/engine.hpp"
 
 using namespace tilo;
 using bench::JsonLine;
@@ -86,6 +90,35 @@ SelectResult measure_select(const core::Problem& problem,
   return r;
 }
 
+/// Events per second of a bare sim::Engine self-rescheduling chain (median
+/// of 5): the host's ceiling for any simulation, measured in the same
+/// process so validate_bench.py can hold a host-normalized floor under the
+/// sweep's events/s.
+double engine_events_per_sec() {
+  struct Tick {
+    sim::Engine* engine;
+    int* remaining;
+    void operator()() const {
+      if (--*remaining > 0) engine->after(10, *this);
+    }
+  };
+  constexpr int kChain = 200000;
+  std::vector<double> rates;
+  for (int rep = 0; rep < 5; ++rep) {
+    sim::Engine engine;
+    int remaining = kChain;
+    const auto t0 = std::chrono::steady_clock::now();
+    engine.after(10, Tick{&engine, &remaining});
+    engine.run();
+    const double s = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
+    rates.push_back(static_cast<double>(engine.events_processed()) / s);
+  }
+  std::sort(rates.begin(), rates.end());
+  return rates[rates.size() / 2];
+}
+
 bool verdict_bits_equal(const core::SweepVerdict& a,
                         const core::SweepVerdict& b) {
   return std::memcmp(&a, &b, sizeof(core::SweepVerdict)) == 0;
@@ -138,7 +171,8 @@ void write_bench_report(const std::string& path,
                         const core::Problem& problem,
                         const std::vector<SweepPoint>& pts,
                         const std::vector<ConfigResult>& configs,
-                        const PruneSummary& prune) {
+                        const PruneSummary& prune,
+                        double engine_eps) {
   std::ofstream os(path);
   if (!os) {
     std::cerr << "FAIL: cannot open " << path << " for writing\n";
@@ -146,7 +180,9 @@ void write_bench_report(const std::string& path,
   }
 
   os << "{\"bench\":\"sweep_throughput\",\"space\":\"i\",\"quick\":"
-     << (prune.quick ? "true" : "false") << ",\"configs\":[";
+     << (prune.quick ? "true" : "false")
+     << ",\"engine_events_per_sec\":" << util::fmt_fixed(engine_eps, 0)
+     << ",\"configs\":[";
   {
     std::ostringstream lines;
     for (std::size_t i = 0; i < configs.size(); ++i) {
@@ -272,6 +308,10 @@ int main(int argc, char** argv) {
   std::cout << "== sweep throughput, experiment (i), " << heights.size()
             << " heights ==\n";
 
+  const double engine_eps = engine_events_per_sec();
+  std::cout << "  bare engine chain: "
+            << util::fmt_fixed(engine_eps / 1e6, 2) << " M events/s\n";
+
   std::vector<ConfigResult> configs;
 
   // Serial baseline (one worker, plans built per point).
@@ -307,14 +347,30 @@ int main(int argc, char** argv) {
   // Selection: exhaustive (every height simulated) vs analytically
   // pre-pruned (only the contending region simulated).  The pruned run
   // must land on the bit-identical recommendation; the speedup is the
-  // tentpole number validate_bench.py holds a floor under.
+  // tentpole number validate_bench.py holds a floor under.  Each is timed
+  // kSelectReps times, interleaved, and the median-wall run is kept: a
+  // pruned selection takes well under 0.1 s, short enough for one
+  // scheduler stall on a shared host to halve a single-shot speedup.
+  constexpr int kSelectReps = 5;
   core::SweepOptions ex_opts;
   ex_opts.exhaustive = true;
-  const SelectResult exhaustive = measure_select(problem, heights, ex_opts);
+  std::vector<SelectResult> ex_reps, pruned_reps;
+  for (int rep = 0; rep < kSelectReps; ++rep) {
+    ex_reps.push_back(measure_select(problem, heights, ex_opts));
+    pruned_reps.push_back(measure_select(problem, heights, {}));
+  }
+  const auto median_wall = [](std::vector<SelectResult>& reps) {
+    std::sort(reps.begin(), reps.end(),
+              [](const SelectResult& a, const SelectResult& b) {
+                return a.m.wall_seconds < b.m.wall_seconds;
+              });
+    return reps[reps.size() / 2];
+  };
+  const SelectResult exhaustive = median_wall(ex_reps);
   configs.push_back({"select-exhaustive", 1, false, exhaustive.m});
   report(configs.back());
 
-  const SelectResult pruned = measure_select(problem, heights, {});
+  const SelectResult pruned = median_wall(pruned_reps);
   configs.push_back({"pruned", 1, false, pruned.m});
   report(configs.back());
 
@@ -345,6 +401,6 @@ int main(int argc, char** argv) {
 
   if (json)
     write_bench_report(json_path, problem, configs[0].m.pts, configs,
-                       prune);
+                       prune, engine_eps);
   return 0;
 }

@@ -19,7 +19,11 @@ Beyond schema, full-mode records (doc["quick"] is false) must also clear
 the perf-regression thresholds:
   sweep_throughput  the analytically pruned selection reaches >= 5x the
                     exhaustive-select throughput with a bit-identical
-                    recommendation;
+                    recommendation, and the serial sweep's events/s is at
+                    least RUN_ENGINE_MIN_RATIO of the bare sim::Engine
+                    chain rate measured in the same process (a
+                    host-normalized floor on the timed run path's cost
+                    per event);
   fleet_scale       tolerance-monotonic worker scaling — every point's
                     units/s stays within 15% of the best seen at fewer
                     workers (adding workers must never buy a real
@@ -74,6 +78,10 @@ def check_report(rep, name):
 
 # Full-mode thresholds (see module docstring).
 PRUNE_MIN_SPEEDUP = 5.0
+# Serial sweep events/s over bare-engine events/s.  The timed run path
+# read ~0.045-0.09 with per-message heap allocations and reads ~0.16-0.19
+# without them; the floor leaves room for a noisy shared host.
+RUN_ENGINE_MIN_RATIO = 0.10
 FLEET_SCALING_TOLERANCE = 0.15
 
 
@@ -94,6 +102,17 @@ def check_sweep(doc):
     modes = {c["mode"] for c in configs}
     for mode in ("serial", "select-exhaustive", "pruned"):
         require(mode in modes, f"config mode {mode!r} missing")
+    engine_eps = doc.get("engine_events_per_sec")
+    require(isinstance(engine_eps, (int, float)) and engine_eps > 0,
+            "engine_events_per_sec missing")
+    serial = next((c for c in configs
+                   if c["mode"] == "serial" and not c["plan_cache"]), None)
+    require(serial is not None, "uncached serial config missing")
+    run_engine_ratio = serial["events_per_sec"] / engine_eps
+    if not quick:
+        require(run_engine_ratio >= RUN_ENGINE_MIN_RATIO,
+                f"serial sweep runs at {run_engine_ratio:.3f} of the bare "
+                f"engine's events/s, below the {RUN_ENGINE_MIN_RATIO} floor")
 
     prune = doc.get("prune")
     require(isinstance(prune, dict), "prune missing")
@@ -127,6 +146,7 @@ def check_sweep(doc):
           f"{len(configs)} configs,",
           f"prune {prune['speedup']:.1f}x"
           f" ({prune['simulated_runs']}/{prune['total_runs']} runs),",
+          f"run/engine events {run_engine_ratio:.3f},",
           f"{len(doc['overlap']['ranks'])} ranks,",
           f"{len(counters)} counters")
 

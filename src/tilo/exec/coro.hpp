@@ -79,9 +79,9 @@ class SendDoneAwait {
     const sim::Time suspended_at = cluster_->engine().now();
     msg::Cluster* cluster = cluster_;
     const int rank = rank_;
-    cluster->register_suspended(h.address());
+    cluster->register_suspended(rank, h.address());
     msg::Endpoint::when_done(handle_, [cluster, rank, suspended_at, h] {
-      cluster->unregister_suspended(h.address());
+      cluster->unregister_suspended(rank);
       if (obs::Sink* sink = cluster->sink())
         sink->span(rank, obs::Phase::kBlocked, suspended_at,
                    cluster->engine().now(), "wait-send");
@@ -109,9 +109,9 @@ class RecvReadyAwait {
     const sim::Time suspended_at = cluster_->engine().now();
     msg::Cluster* cluster = cluster_;
     const int rank = rank_;
-    cluster->register_suspended(h.address());
+    cluster->register_suspended(rank, h.address());
     msg::Endpoint::when_ready(handle_, [cluster, rank, suspended_at, h] {
-      cluster->unregister_suspended(h.address());
+      cluster->unregister_suspended(rank);
       if (obs::Sink* sink = cluster->sink())
         sink->span(rank, obs::Phase::kBlocked, suspended_at,
                    cluster->engine().now(), "wait-recv");

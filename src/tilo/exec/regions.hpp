@@ -47,11 +47,16 @@ struct TileComm {
 };
 
 /// All outgoing messages of tile t (one entry per tile dependence with a
-/// nonempty region list), regardless of processor placement.
-std::vector<TileComm> outgoing(const tile::TiledSpace& space, const Vec& t);
+/// nonempty region list), regardless of processor placement.  With
+/// `with_regions` false each entry's `regions` stays empty (its `points`
+/// is still exact) and no box is built — the summary timed runs and cost
+/// predictions need.
+std::vector<TileComm> outgoing(const tile::TiledSpace& space, const Vec& t,
+                               bool with_regions = true);
 
 /// All incoming messages of tile t: offsets e such that t - e exists and
-/// ships a nonempty region list to t.
-std::vector<TileComm> incoming(const tile::TiledSpace& space, const Vec& t);
+/// ships a nonempty region list to t.  `with_regions` as for outgoing().
+std::vector<TileComm> incoming(const tile::TiledSpace& space, const Vec& t,
+                               bool with_regions = true);
 
 }  // namespace tilo::exec

@@ -3,10 +3,10 @@
 #include <cmath>
 #include <coroutine>
 #include <cstdint>
-#include <map>
-#include <set>
 #include <limits>
+#include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "tilo/exec/coro.hpp"
@@ -38,67 +38,92 @@ struct RankState {
   }
 };
 
+/// Cells a tile's computation touches: its own cells plus the low-side
+/// halo slabs it reads (the paper's Fig. 6 working set).
+i64 working_set_cells(const loop::DependenceSet& deps, const Box& box) {
+  i64 cells = box.volume();
+  for (std::size_t d = 0; d < box.dims(); ++d) {
+    const i64 halo = deps.max_component(d);
+    if (halo > 0)
+      cells = util::checked_add(
+          cells, util::checked_mul(box.volume() / box.extent(d), halo));
+  }
+  return cells;
+}
+
 /// Per-tile communication geometry for one tiled space, built once and
 /// reused across runs (the overlap and non-overlap schedules at one tile
 /// height share it).
 ///
-/// Timed runs only read the (offset, points, dir) summaries, and those are
-/// translation-invariant: every tile with the same boundary profile (at the
-/// low edge / at the high edge / adjacent to a clipped high-edge tile, per
-/// dimension) has a byte-identical summary list.  So the timed table stores
-/// one list per *equivalence class* (≤ 8^dims classes, a few dozen in
-/// practice) plus a per-tile class id — turning the per-point sweep setup
-/// from O(tiles × geometry) into O(classes × geometry + tiles).  Functional
-/// runs need absolute region boxes and keep the per-tile path.  Above the
-/// caps the table is not materialized and lookups fall back to computing
-/// geometry on the fly, bounding memory.
+/// Timed runs only read the (offset, points, dir) summaries and the tile's
+/// volume and working set, and those are translation-invariant: every tile
+/// with the same boundary profile (at the low edge / at the high edge /
+/// adjacent to a clipped high-edge tile, per dimension) has a
+/// byte-identical summary.  So the timed table stores one entry per
+/// *equivalence class* (≤ 8^dims classes, a few dozen in practice) plus a
+/// per-tile class id — turning the per-point sweep setup from
+/// O(tiles × geometry) into O(classes × geometry + tiles).  Functional runs
+/// need absolute region boxes, so there every tile is its own class.  Above
+/// the caps the table is not materialized and lookups fall back to
+/// computing geometry on the fly, bounding memory.
 struct CommTable {
-  static constexpr i64 kMaxTiles = i64{1} << 16;         // per-tile (regions)
-  static constexpr i64 kMaxClassedTiles = i64{1} << 22;  // classed (timed)
+  static constexpr i64 kMaxTiles = i64{1} << 16;         // with regions
+  static constexpr i64 kMaxClassedTiles = i64{1} << 22;  // timed
 
-  lat::Vec sides;  // geometry key: tile sides + domain identify the space
+  /// One class of tiles sharing their comm lists, volume and working set.
+  struct TileClass {
+    std::vector<TileComm> in, out;
+    i64 volume = 0;    // iterations of each tile in the class
+    i64 ws_cells = 0;  // working_set_cells of each tile
+  };
+
+  // Geometry key: tile sides, domain and dependence set identify the space
+  // (the dependences fix both the tile directions and the region sizes).
+  lat::Vec sides;
   Box domain;
+  std::vector<Vec> deps;
   bool with_regions = false;
   bool valid = false;
   bool passthrough = false;
-  bool classed = false;
-  std::vector<std::vector<TileComm>> in, out;        // per tile (regions mode)
-  std::vector<std::uint16_t> tile_class;             // classed mode
-  std::vector<std::vector<TileComm>> class_in, class_out;
+  std::vector<std::uint16_t> tile_class;  // by linear tile index
+  std::vector<TileClass> classes;
 
   bool matches(const tile::TiledSpace& space, bool regions_needed) const {
     return valid && (with_regions || !regions_needed) &&
-           sides == space.tiling().sides() && domain == space.domain();
+           sides == space.tiling().sides() && domain == space.domain() &&
+           deps == space.deps().vectors();
   }
 
   void build(const tile::TiledSpace& space, bool regions_needed) {
     valid = false;
     sides = space.tiling().sides();
     domain = space.domain();
+    deps = space.deps().vectors();
     with_regions = regions_needed;
-    classed = !regions_needed;
-    in.clear();
-    out.clear();
     tile_class.clear();
-    class_in.clear();
-    class_out.clear();
+    classes.clear();
     passthrough =
-        space.num_tiles() > (classed ? kMaxClassedTiles : kMaxTiles);
+        space.num_tiles() > (regions_needed ? kMaxTiles : kMaxClassedTiles);
     if (passthrough) {
       valid = true;
       return;
     }
     const Box& ts = space.tile_space();
-    const std::size_t n = static_cast<std::size_t>(space.num_tiles());
-    if (classed) {
+    tile_class.assign(static_cast<std::size_t>(space.num_tiles()), 0);
+    std::map<std::uint64_t, std::uint16_t> ids;
+    // for_each_tile visits tiles in linear-index order, and runs of
+    // consecutive tiles (interior ones above all) share a class.
+    std::size_t idx = 0;
+    std::uint64_t last_key = ~std::uint64_t{0};
+    std::uint16_t last_id = 0;
+    space.for_each_tile([&](const Vec& t) {
       // Class key: per dimension, whether the tile sits at the low edge,
       // the high edge, or immediately before the high edge (whose tile may
       // be clipped by the domain).  Everything else is "interior" and the
       // comm summary is a pure translate.
-      tile_class.assign(n, 0);
-      std::map<std::uint64_t, std::uint16_t> ids;
-      space.for_each_tile([&](const Vec& t) {
-        std::uint64_t key = 0;
+      std::uint64_t key = idx;
+      if (!regions_needed) {
+        key = 0;
         for (std::size_t d = 0; d < t.size(); ++d) {
           const i64 c = t[d];
           const std::uint64_t code =
@@ -107,36 +132,30 @@ struct CommTable {
               (static_cast<std::uint64_t>(c + 1 == ts.hi()[d]) << 2);
           key = key * 8 + code;
         }
-        auto [it, fresh] =
-            ids.try_emplace(key, static_cast<std::uint16_t>(class_in.size()));
+      }
+      if (key != last_key) {
+        auto [it, fresh] = ids.try_emplace(
+            key, static_cast<std::uint16_t>(classes.size()));
         if (fresh) {
-          TILO_ASSERT(class_in.size() < (std::size_t{1} << 16),
+          TILO_ASSERT(classes.size() < (std::size_t{1} << 16),
                       "comm-table class id overflow");
-          class_out.push_back(strip_regions(outgoing(space, t)));
-          class_in.push_back(strip_regions(incoming(space, t)));
+          classes.push_back(make_class(space, t, regions_needed));
         }
-        tile_class[static_cast<std::size_t>(ts.linear_index(t))] = it->second;
-      });
-      valid = true;
-      return;
-    }
-    in.assign(n, {});
-    out.assign(n, {});
-    space.for_each_tile([&](const Vec& t) {
-      const auto idx = static_cast<std::size_t>(ts.linear_index(t));
-      out[idx] = outgoing(space, t);
-      in[idx] = incoming(space, t);
+        last_key = key;
+        last_id = it->second;
+      }
+      tile_class[idx++] = last_id;
     });
     valid = true;
   }
 
  private:
-  static std::vector<TileComm> strip_regions(std::vector<TileComm> list) {
-    for (TileComm& c : list) {
-      c.regions.clear();
-      c.regions.shrink_to_fit();
-    }
-    return list;
+  static TileClass make_class(const tile::TiledSpace& space, const Vec& t,
+                              bool with_regions) {
+    const Box box = space.tile_iterations(t);
+    return TileClass{incoming(space, t, with_regions),
+                     outgoing(space, t, with_regions), box.volume(),
+                     working_set_cells(space.deps(), box)};
   }
 };
 
@@ -150,58 +169,113 @@ struct CommView {
   const std::vector<TileComm>& items() const { return *list; }
 };
 
+/// Run context shared by the rank programs.  Programs walk each owned tile
+/// column by linear tile index: tile k of a column starting at `col_lin` is
+/// col_lin + (k - klo)·stride, the neighbour along tile direction e is
+/// lin ∓ delta[e], and its message tag is (consumer lin)·ndirs + e.  Tile
+/// coordinates are only materialized for the TileCostModel hook and for
+/// functional or passthrough runs.
 struct Ctx {
   const loop::LoopNest* nest = nullptr;
   const TilePlan* plan = nullptr;
   RunOptions opts;
-  std::unique_ptr<msg::Cluster> cluster;
+  msg::Cluster* cluster = nullptr;
   std::vector<RankState>* ranks = nullptr;
   const CommTable* comm = nullptr;
   ProgramErrorSink sink;
   int bpe = 4;
   i64 ndirs = 1;
+  std::size_t md = 0;      // mapped dimension
+  i64 klo = 0, khi = 0;    // tile range along it
+  i64 stride = 0;          // linear-index stride along it
+  std::vector<i64> delta;  // per tile direction: linear-index offset
   int completed_ranks = 0;
 
   ProgramErrorSink& error_sink() { return sink; }
+
+  /// Coordinate of tile k of column `col`.
+  Vec tile(const Vec& col, i64 k) const {
+    Vec t = col;
+    t[md] = k;
+    return t;
+  }
+
+  /// Message tags are unique per (consumer tile, direction).
+  i64 tag(i64 consumer_lin, std::size_t dir) const {
+    return util::checked_add(util::checked_mul(consumer_lin, ndirs),
+                             static_cast<i64>(dir));
+  }
+
+  /// Inbound (or outbound) comm list of tile k of column `col`.
+  CommView comms(const Vec& col, i64 k, i64 lin, bool outbound) const {
+    CommView v;
+    if (comm->passthrough) {
+      const Vec t = tile(col, k);
+      v.owned = outbound ? outgoing(plan->space, t, comm->with_regions)
+                         : incoming(plan->space, t, comm->with_regions);
+      v.list = &v.owned;
+    } else {
+      const CommTable::TileClass& c =
+          comm->classes[comm->tile_class[static_cast<std::size_t>(lin)]];
+      v.list = outbound ? &c.out : &c.in;
+    }
+    return v;
+  }
+
+  /// CPU time of tile k of column `col`: its iterations (the full box
+  /// volume, or the TileCostModel's refinement for non-uniform workloads)
+  /// over its working set.
+  sim::Time compute_ns(const Vec& col, i64 k, i64 lin) const {
+    i64 iterations = 0;
+    i64 cells = 0;
+    if (!comm->passthrough && !opts.tile_costs) {
+      const CommTable::TileClass& c =
+          comm->classes[comm->tile_class[static_cast<std::size_t>(lin)]];
+      iterations = c.volume;
+      cells = c.ws_cells;
+    } else {
+      const Vec t = tile(col, k);
+      const Box box = plan->space.tile_iterations(t);
+      iterations = opts.tile_costs ? opts.tile_costs->tile_iterations(t, box)
+                                   : box.volume();
+      cells = working_set_cells(plan->space.deps(), box);
+    }
+    return cluster->compute_ns(iterations, util::checked_mul(cells, bpe));
+  }
+
+  /// Bytes of the message for comm record `c` of tile k of column `col`;
+  /// its consumer is that tile (inbound) or the tile at +c.offset
+  /// (outbound).  Both ends of a message route through the consumer's
+  /// coordinate, so sender and receiver always agree on its size.  The
+  /// hook-free path never touches tile geometry.
+  i64 message_bytes(const Vec& col, i64 k, const TileComm& c,
+                    bool outbound) const {
+    i64 points = c.points;
+    if (opts.tile_costs) {
+      Vec consumer = tile(col, k);
+      if (outbound) consumer += c.offset;
+      points = opts.tile_costs->message_points(
+          consumer, plan->space.tile_iterations(consumer), c.offset,
+          c.points);
+    }
+    return util::checked_mul(points, bpe);
+  }
+
+  /// Fills `owners` with the rank owning column col - e (entry e) and
+  /// col + e (entry ndirs + e) for every tile direction e, -1 outside the
+  /// tile space, and returns the column's linear index.  A column has one
+  /// owner, so these hold for every tile of the column.
+  i64 column_owners(const Vec& col, std::vector<int>& owners) const {
+    const auto& dirs = plan->space.tile_deps();
+    owners.assign(static_cast<std::size_t>(2 * ndirs), -1);
+    for (std::size_t e = 0; e < dirs.size(); ++e) {
+      owners[e] = static_cast<int>(plan->mapping.column_rank(col, dirs[e], -1));
+      owners[static_cast<std::size_t>(ndirs) + e] =
+          static_cast<int>(plan->mapping.column_rank(col, dirs[e], +1));
+    }
+    return plan->space.tile_space().linear_index(col);
+  }
 };
-
-CommView ins_of(const Ctx& ctx, const Vec& t) {
-  CommView v;
-  if (ctx.comm->passthrough) {
-    v.owned = incoming(ctx.plan->space, t);
-    v.list = &v.owned;
-  } else if (ctx.comm->classed) {
-    v.list = &ctx.comm->class_in[ctx.comm->tile_class[static_cast<std::size_t>(
-        ctx.plan->space.tile_space().linear_index(t))]];
-  } else {
-    v.list = &ctx.comm->in[static_cast<std::size_t>(
-        ctx.plan->space.tile_space().linear_index(t))];
-  }
-  return v;
-}
-
-CommView outs_of(const Ctx& ctx, const Vec& t) {
-  CommView v;
-  if (ctx.comm->passthrough) {
-    v.owned = outgoing(ctx.plan->space, t);
-    v.list = &v.owned;
-  } else if (ctx.comm->classed) {
-    v.list =
-        &ctx.comm->class_out[ctx.comm->tile_class[static_cast<std::size_t>(
-            ctx.plan->space.tile_space().linear_index(t))]];
-  } else {
-    v.list = &ctx.comm->out[static_cast<std::size_t>(
-        ctx.plan->space.tile_space().linear_index(t))];
-  }
-  return v;
-}
-
-/// Message tags are unique per (consumer tile, direction).
-i64 tag_for(const Ctx& ctx, const Vec& consumer_tile, std::size_t dir) {
-  const i64 lin = ctx.plan->space.tile_space().linear_index(consumer_tile);
-  return util::checked_add(util::checked_mul(lin, ctx.ndirs),
-                           static_cast<i64>(dir));
-}
 
 void init_rank_state(Ctx& ctx, int rank) {
   const auto& mapping = ctx.plan->mapping;
@@ -245,41 +319,6 @@ void init_rank_state(Ctx& ctx, int rank) {
   }
 }
 
-/// Bytes a tile's computation touches: its own cells plus the low-side
-/// halo slabs it reads (the paper's Fig. 6 working set).
-i64 tile_working_set_bytes(const Ctx& ctx, const Box& box) {
-  i64 cells = box.volume();
-  for (std::size_t d = 0; d < box.dims(); ++d) {
-    const i64 halo = ctx.nest->deps().max_component(d);
-    if (halo > 0)
-      cells = util::checked_add(
-          cells, util::checked_mul(box.volume() / box.extent(d), halo));
-  }
-  return util::checked_mul(cells, ctx.bpe);
-}
-
-/// Iterations charged for tile `t` covering `box`: the full box volume, or
-/// the TileCostModel's refinement for non-uniform workloads.
-i64 tile_iterations(const Ctx& ctx, const Vec& t, const Box& box) {
-  return ctx.opts.tile_costs ? ctx.opts.tile_costs->tile_iterations(t, box)
-                             : box.volume();
-}
-
-/// Bytes of the message consumed by `consumer_tile` for comm record
-/// `comm`.  Both ends of a message route through the consumer's
-/// coordinate, so sender and receiver always agree on its size.  The
-/// hook-free path never touches tile geometry (the hot path is exactly the
-/// historical constant-surface expression).
-i64 message_bytes(const Ctx& ctx, const Vec& consumer_tile,
-                  const TileComm& comm) {
-  i64 points = comm.points;
-  if (ctx.opts.tile_costs)
-    points = ctx.opts.tile_costs->message_points(
-        consumer_tile, ctx.plan->space.tile_iterations(consumer_tile),
-        comm.offset, comm.points);
-  return util::checked_mul(points, ctx.bpe);
-}
-
 void compute_tile_values(Ctx& ctx, RankState& rs, const Box& box) {
   const auto& deps = ctx.nest->deps();
   const loop::Kernel& kernel = ctx.nest->kernel();
@@ -320,33 +359,27 @@ void apply_payload(RankState& rs, const std::vector<CommRegion>& regions,
 /// messages, compute, blocking-send all outbound messages.
 RankProgram blocking_program(Ctx& ctx, int rank) {
   msg::Endpoint& ep = ctx.cluster->node(rank);
-  const tile::TiledSpace& space = ctx.plan->space;
-  const sched::ProcessorMapping& mapping = ctx.plan->mapping;
   RankState& rs = (*ctx.ranks)[static_cast<std::size_t>(rank)];
-  const std::size_t md = ctx.plan->mapped_dim;
-  const i64 klo = space.tile_space().lo()[md];
-  const i64 khi = space.tile_space().hi()[md];
 
   // Temporaries are hoisted into named locals before every loop that
   // crosses a suspension point (GCC 12 mishandles lifetime-extended
   // range-for temporaries in coroutine frames).
-  const std::vector<Vec> columns = mapping.columns_of_rank(rank);
+  const std::vector<Vec> columns = ctx.plan->mapping.columns_of_rank(rank);
+  std::vector<int> owners;
   for (const Vec& col : columns) {
-    for (i64 k = klo; k <= khi; ++k) {
-      Vec t = col;
-      t[md] = k;
+    const i64 col_lin = ctx.column_owners(col, owners);
+    for (i64 k = ctx.klo; k <= ctx.khi; ++k) {
+      const i64 lin = col_lin + (k - ctx.klo) * ctx.stride;
 
       // Receive phase: block until each message is on the wire-side done,
       // then pay the receive pipeline on the CPU (no overlap, Fig. 7).
-      const CommView ins = ins_of(ctx, t);
+      const CommView ins = ctx.comms(col, k, lin, false);
       for (const TileComm& in : ins.items()) {
-        const Vec src_t = t - in.offset;
-        const i64 src_rank = mapping.rank_of_tile(src_t);
+        const int src_rank = owners[in.dir];
         if (src_rank == rank) continue;
-        auto h = ep.irecv(static_cast<int>(src_rank),
-                          tag_for(ctx, t, in.dir));
+        auto h = ep.irecv(src_rank, ctx.tag(lin, in.dir));
         co_await RecvReadyAwait{*ctx.cluster, rank, h};
-        const i64 bytes = message_bytes(ctx, t, in);
+        const i64 bytes = ctx.message_bytes(col, k, in, false);
         co_await CpuAwait{ep,
                           ctx.cluster->half_wire_ns(bytes) +
                               ctx.cluster->fill_kernel_ns(bytes),
@@ -357,21 +390,19 @@ RankProgram blocking_program(Ctx& ctx, int rank) {
       }
 
       // Compute phase.
-      const Box box = space.tile_iterations(t);
-      co_await CpuAwait{ep,
-                        ctx.cluster->compute_ns(
-                            tile_iterations(ctx, t, box),
-                            tile_working_set_bytes(ctx, box)),
+      co_await CpuAwait{ep, ctx.compute_ns(col, k, lin),
                         obs::Phase::kCompute};
-      if (ctx.opts.functional) compute_tile_values(ctx, rs, box);
+      if (ctx.opts.functional)
+        compute_tile_values(ctx, rs,
+                            ctx.plan->space.tile_iterations(ctx.tile(col, k)));
 
       // Send phase: the whole send pipeline runs on the CPU.
-      const CommView outs = outs_of(ctx, t);
+      const CommView outs = ctx.comms(col, k, lin, true);
       for (const TileComm& out : outs.items()) {
-        const Vec dst_t = t + out.offset;
-        const i64 dst_rank = mapping.rank_of_tile(dst_t);
+        const int dst_rank = owners[static_cast<std::size_t>(ctx.ndirs) +
+                                    out.dir];
         if (dst_rank == rank) continue;
-        const i64 bytes = message_bytes(ctx, dst_t, out);
+        const i64 bytes = ctx.message_bytes(col, k, out, true);
         co_await CpuAwait{ep, ctx.cluster->fill_mpi_ns(bytes),
                           obs::Phase::kFillMpiSend};
         co_await CpuAwait{ep, ctx.cluster->fill_kernel_ns(bytes),
@@ -380,8 +411,7 @@ RankProgram blocking_program(Ctx& ctx, int rank) {
                           obs::Phase::kWire};
         msg::Payload payload;
         if (ctx.opts.functional) payload = encode_payload(rs, out.regions);
-        ep.post_blocking(static_cast<int>(dst_rank),
-                         tag_for(ctx, dst_t, out.dir),
+        ep.post_blocking(dst_rank, ctx.tag(lin + ctx.delta[out.dir], out.dir),
                          bytes, std::move(payload));
       }
     }
@@ -394,12 +424,7 @@ RankProgram blocking_program(Ctx& ctx, int rank) {
 /// then wait on all handles — the pipelined overlapping schedule of Fig. 2.
 RankProgram nonblocking_program(Ctx& ctx, int rank) {
   msg::Endpoint& ep = ctx.cluster->node(rank);
-  const tile::TiledSpace& space = ctx.plan->space;
-  const sched::ProcessorMapping& mapping = ctx.plan->mapping;
   RankState& rs = (*ctx.ranks)[static_cast<std::size_t>(rank)];
-  const std::size_t md = ctx.plan->mapped_dim;
-  const i64 klo = space.tile_space().lo()[md];
-  const i64 khi = space.tile_space().hi()[md];
 
   struct PendingRecv {
     std::shared_ptr<msg::RecvHandle> handle;
@@ -407,23 +432,22 @@ RankProgram nonblocking_program(Ctx& ctx, int rank) {
     i64 bytes = 0;  ///< message size, resolved at post time (consumer tile)
   };
 
-  const std::vector<Vec> columns = mapping.columns_of_rank(rank);
+  const std::vector<Vec> columns = ctx.plan->mapping.columns_of_rank(rank);
+  std::vector<int> owners;
+  std::vector<PendingRecv> pending;
+  std::vector<std::shared_ptr<msg::SendHandle>> sends;
   for (const Vec& col : columns) {
-    std::vector<PendingRecv> pending;
+    const i64 col_lin = ctx.column_owners(col, owners);
 
     // Pipeline prologue: fetch the first tile's inbound data.
     {
-      Vec t0 = col;
-      t0[md] = klo;
-      const CommView ins = ins_of(ctx, t0);
+      const CommView ins = ctx.comms(col, ctx.klo, col_lin, false);
       for (const TileComm& in : ins.items()) {
-        const Vec src_t = t0 - in.offset;
-        const i64 src_rank = mapping.rank_of_tile(src_t);
+        const int src_rank = owners[in.dir];
         if (src_rank == rank) continue;
-        auto h = ep.irecv(static_cast<int>(src_rank),
-                          tag_for(ctx, t0, in.dir));
-        pending.push_back(
-            PendingRecv{std::move(h), &in, message_bytes(ctx, t0, in)});
+        auto h = ep.irecv(src_rank, ctx.tag(col_lin, in.dir));
+        pending.push_back(PendingRecv{
+            std::move(h), &in, ctx.message_bytes(col, ctx.klo, in, false)});
       }
       for (PendingRecv& pr : pending) {
         co_await RecvReadyAwait{*ctx.cluster, rank, pr.handle};
@@ -441,30 +465,26 @@ RankProgram nonblocking_program(Ctx& ctx, int rank) {
       pending.clear();
     }
 
-    std::vector<std::shared_ptr<msg::SendHandle>> sends;
-    for (i64 k = klo; k <= khi; ++k) {
-      Vec t = col;
-      t[md] = k;
+    for (i64 k = ctx.klo; k <= ctx.khi; ++k) {
+      const i64 lin = col_lin + (k - ctx.klo) * ctx.stride;
 
       // 1. Nonblocking sends of tile (k-1)'s results (A1 on the CPU, the
       //    rest of the pipeline on the DMA channel).
-      if (k > klo) {
-        Vec prev = col;
-        prev[md] = k - 1;
-        const CommView outs = outs_of(ctx, prev);
+      if (k > ctx.klo) {
+        const i64 prev = lin - ctx.stride;
+        const CommView outs = ctx.comms(col, k - 1, prev, true);
         for (const TileComm& out : outs.items()) {
-          const Vec dst_t = prev + out.offset;
-          const i64 dst_rank = mapping.rank_of_tile(dst_t);
+          const int dst_rank =
+              owners[static_cast<std::size_t>(ctx.ndirs) + out.dir];
           if (dst_rank == rank) continue;
-          const i64 bytes = message_bytes(ctx, dst_t, out);
+          const i64 bytes = ctx.message_bytes(col, k - 1, out, true);
           co_await CpuAwait{ep, ctx.cluster->fill_mpi_ns(bytes),
                             obs::Phase::kFillMpiSend};
           msg::Payload payload;
           if (ctx.opts.functional) payload = encode_payload(rs, out.regions);
-          sends.push_back(ep.isend(
-              static_cast<int>(dst_rank),
-              tag_for(ctx, dst_t, out.dir), bytes,
-              std::move(payload)));
+          sends.push_back(
+              ep.isend(dst_rank, ctx.tag(prev + ctx.delta[out.dir], out.dir),
+                       bytes, std::move(payload)));
           // Imperfect overlap: the offloaded send steals CPU cycles.
           const sim::Time sstall = ctx.cluster->send_interference_ns(bytes);
           if (sstall > 0)
@@ -475,29 +495,24 @@ RankProgram nonblocking_program(Ctx& ctx, int rank) {
       // 2. Post receives for tile (k+1)'s data.  The view lives until the
       //    pending waits complete at the end of this iteration.
       CommView next_ins;
-      if (k < khi) {
-        Vec next = col;
-        next[md] = k + 1;
-        next_ins = ins_of(ctx, next);
+      if (k < ctx.khi) {
+        const i64 next = lin + ctx.stride;
+        next_ins = ctx.comms(col, k + 1, next, false);
         for (const TileComm& in : next_ins.items()) {
-          const Vec src_t = next - in.offset;
-          const i64 src_rank = mapping.rank_of_tile(src_t);
+          const int src_rank = owners[in.dir];
           if (src_rank == rank) continue;
-          auto h = ep.irecv(static_cast<int>(src_rank),
-                            tag_for(ctx, next, in.dir));
-          pending.push_back(
-              PendingRecv{std::move(h), &in, message_bytes(ctx, next, in)});
+          auto h = ep.irecv(src_rank, ctx.tag(next, in.dir));
+          pending.push_back(PendingRecv{
+              std::move(h), &in, ctx.message_bytes(col, k + 1, in, false)});
         }
       }
 
       // 3. Compute tile k while the DMA channels move data.
-      const Box box = space.tile_iterations(t);
-      co_await CpuAwait{ep,
-                        ctx.cluster->compute_ns(
-                            tile_iterations(ctx, t, box),
-                            tile_working_set_bytes(ctx, box)),
+      co_await CpuAwait{ep, ctx.compute_ns(col, k, lin),
                         obs::Phase::kCompute};
-      if (ctx.opts.functional) compute_tile_values(ctx, rs, box);
+      if (ctx.opts.functional)
+        compute_tile_values(ctx, rs,
+                            ctx.plan->space.tile_iterations(ctx.tile(col, k)));
 
       // 4. Wait for the sends (buffer reuse) ...
       for (auto& s : sends) co_await SendDoneAwait{*ctx.cluster, rank, s};
@@ -520,22 +535,20 @@ RankProgram nonblocking_program(Ctx& ctx, int rank) {
 
     // Column epilogue: ship the last tile's results.
     {
-      Vec tl = col;
-      tl[md] = khi;
-      const CommView outs = outs_of(ctx, tl);
+      const i64 last = col_lin + (ctx.khi - ctx.klo) * ctx.stride;
+      const CommView outs = ctx.comms(col, ctx.khi, last, true);
       for (const TileComm& out : outs.items()) {
-        const Vec dst_t = tl + out.offset;
-        const i64 dst_rank = mapping.rank_of_tile(dst_t);
+        const int dst_rank =
+            owners[static_cast<std::size_t>(ctx.ndirs) + out.dir];
         if (dst_rank == rank) continue;
-        const i64 bytes = message_bytes(ctx, dst_t, out);
+        const i64 bytes = ctx.message_bytes(col, ctx.khi, out, true);
         co_await CpuAwait{ep, ctx.cluster->fill_mpi_ns(bytes),
                           obs::Phase::kFillMpiSend};
         msg::Payload payload;
         if (ctx.opts.functional) payload = encode_payload(rs, out.regions);
-        sends.push_back(ep.isend(
-            static_cast<int>(dst_rank),
-            tag_for(ctx, dst_t, out.dir), bytes,
-            std::move(payload)));
+        sends.push_back(
+            ep.isend(dst_rank, ctx.tag(last + ctx.delta[out.dir], out.dir),
+                     bytes, std::move(payload)));
         const sim::Time sstall = ctx.cluster->send_interference_ns(bytes);
         if (sstall > 0)
           co_await CpuAwait{ep, sstall, obs::Phase::kKernelSend};
@@ -566,6 +579,8 @@ loop::DenseField assemble_field(const Ctx& ctx) {
 struct RunWorkspace::Impl {
   std::vector<RankState> ranks;
   CommTable comm;
+  /// Reset per run; its event, transfer and handle pools stay warm.
+  std::unique_ptr<msg::Cluster> cluster;
 };
 
 RunWorkspace::RunWorkspace() : impl_(std::make_unique<Impl>()) {}
@@ -600,8 +615,8 @@ RunResult run_plan(const loop::LoopNest& nest, const TilePlan& plan,
   TILO_REQUIRE(num_ranks <= std::numeric_limits<int>::max(),
                "too many ranks");
 
-  RunWorkspace local;
-  RunWorkspace::Impl& ws = workspace ? *workspace->impl_ : *local.impl_;
+  std::optional<RunWorkspace> local;
+  RunWorkspace::Impl& ws = *(workspace ? workspace : &local.emplace())->impl_;
   if (!ws.comm.matches(plan.space, opts.functional))
     ws.comm.build(plan.space, opts.functional);
 
@@ -612,8 +627,22 @@ RunResult run_plan(const loop::LoopNest& nest, const TilePlan& plan,
   ctx.ranks = &ws.ranks;
   ctx.comm = &ws.comm;
   ctx.bpe = model->params().bytes_per_element;
-  ctx.ndirs = static_cast<i64>(std::max<std::size_t>(
-      1, plan.space.tile_deps().size()));
+  const auto& dirs = plan.space.tile_deps();
+  ctx.ndirs = static_cast<i64>(std::max<std::size_t>(1, dirs.size()));
+  const Box& ts = plan.space.tile_space();
+  ctx.md = plan.mapped_dim;
+  ctx.klo = ts.lo()[ctx.md];
+  ctx.khi = ts.hi()[ctx.md];
+  std::vector<i64> strides(ts.dims(), 1);
+  for (std::size_t d = ts.dims() - 1; d-- > 0;)
+    strides[d] = util::checked_mul(strides[d + 1], ts.extent(d + 1));
+  ctx.stride = strides[ctx.md];
+  for (const Vec& e : dirs) {
+    i64 delta = 0;
+    for (std::size_t d = 0; d < e.size(); ++d)
+      delta = util::checked_add(delta, util::checked_mul(e[d], strides[d]));
+    ctx.delta.push_back(delta);
+  }
 
   // The blocking executor models the no-overlap machine; the nonblocking
   // executor needs a DMA-capable level.
@@ -625,9 +654,15 @@ RunResult run_plan(const loop::LoopNest& nest, const TilePlan& plan,
     level = opts.comm.level;
   }
 
-  ctx.cluster = std::make_unique<msg::Cluster>(
-      static_cast<int>(num_ranks), std::move(model), level,
-      opts.comm.network, opts.sink, opts.comm.protocol);
+  if (ws.cluster) {
+    ws.cluster->reset(static_cast<int>(num_ranks), std::move(model), level,
+                      opts.comm.network, opts.sink, opts.comm.protocol);
+  } else {
+    ws.cluster = std::make_unique<msg::Cluster>(
+        static_cast<int>(num_ranks), std::move(model), level,
+        opts.comm.network, opts.sink, opts.comm.protocol);
+  }
+  ctx.cluster = ws.cluster.get();
   if (opts.faults.drop_message >= 0)
     ctx.cluster->inject_message_loss(opts.faults.drop_message);
   ws.ranks.resize(static_cast<std::size_t>(num_ranks));
@@ -645,7 +680,7 @@ RunResult run_plan(const loop::LoopNest& nest, const TilePlan& plan,
   const sim::Time end = ctx.cluster->run();
   // Reclaim any programs still parked on message waits (lost message or
   // deadlock): destroying the frames releases their buffers and handles.
-  const std::set<void*> stalled = ctx.cluster->take_suspended();
+  const std::vector<void*> stalled = ctx.cluster->take_suspended();
   for (void* address : stalled)
     std::coroutine_handle<>::from_address(address).destroy();
   if (ctx.sink.error) std::rethrow_exception(ctx.sink.error);

@@ -117,12 +117,14 @@ class RunWorkspace;
 /// Throws util::Error if any rank program stalls (e.g. a lost message or a
 /// scheduling deadlock) instead of silently returning partial results.
 ///
-/// `workspace` (optional) carries reusable buffers across runs: the
-/// per-rank state vector and the per-tile communication-geometry table.
-/// Passing the same workspace to consecutive runs over the same tiled
-/// geometry (e.g. the overlap and non-overlap schedules at one tile height
-/// V) amortizes tile enumeration and region computation; results are
-/// byte-identical with or without a workspace.
+/// `workspace` (optional) carries reusable state across runs: the per-rank
+/// state vector, the per-tile communication-geometry table (keyed by tile
+/// sides, domain and dependence set) and the simulated cluster, whose
+/// event, transfer and handle pools stay warm.  Passing the same workspace
+/// to consecutive runs over the same tiled geometry (e.g. the overlap and
+/// non-overlap schedules at one tile height V) amortizes tile enumeration
+/// and region computation, and a warm workspace moves messages without
+/// heap allocation; results are byte-identical with or without one.
 RunResult run_plan(const loop::LoopNest& nest, const TilePlan& plan,
                    const mach::MachineParams& params,
                    const RunOptions& opts = {},

@@ -1,6 +1,7 @@
 #include "tilo/msg/cluster.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "tilo/util/error.hpp"
 
@@ -15,24 +16,50 @@ Cluster::Cluster(int num_nodes, const mach::MachineParams& params,
 
 Cluster::Cluster(int num_nodes, std::shared_ptr<const mach::Model> model,
                  mach::OverlapLevel level, Network network,
-                 obs::Sink* sink, Protocol protocol)
-    : model_(std::move(model)), params_(model_->params()), level_(level),
-      network_(network), protocol_(protocol), sink_(sink) {
-  engine_.set_sink(sink_);
+                 obs::Sink* sink, Protocol protocol) {
+  reset(num_nodes, std::move(model), level, network, sink, protocol);
+}
+
+void Cluster::reset(int num_nodes, std::shared_ptr<const mach::Model> model,
+                    mach::OverlapLevel level, Network network,
+                    obs::Sink* sink, Protocol protocol) {
+  TILO_REQUIRE(model != nullptr, "cluster needs a machine model");
   TILO_REQUIRE(num_nodes >= 1, "cluster needs at least one node");
+  engine_.reset();
+  model_ = std::move(model);
+  params_ = model_->params();
+  level_ = level;
+  network_ = network;
+  protocol_ = protocol;
+  sink_ = sink;
+  engine_.set_sink(sink_);
   nodes_.resize(static_cast<std::size_t>(num_nodes));
   for (int r = 0; r < num_nodes; ++r) {
     auto& st = nodes_[static_cast<std::size_t>(r)];
-    st.endpoint = std::make_unique<Endpoint>(*this, r);
-    st.channel[0] = std::make_unique<sim::Resource>(
-        engine_, util::concat("node", r, ".dma0"));
-    if (level == mach::OverlapLevel::kDuplexDma) {
-      st.channel[1] = std::make_unique<sim::Resource>(
-          engine_, util::concat("node", r, ".dma1"));
+    if (!st.endpoint) st.endpoint = std::make_unique<Endpoint>(*this, r);
+    st.endpoint->clear();
+    for (int c = 0; c < (level == mach::OverlapLevel::kDuplexDma ? 2 : 1);
+         ++c) {
+      if (!st.channel[c])
+        st.channel[c] = std::make_unique<sim::Resource>(
+            engine_, util::concat("node", r, ".dma", c));
+      st.channel[c]->reset();
     }
   }
-  if (network_ == Network::kSharedBus)
-    bus_ = std::make_unique<sim::Resource>(engine_, "bus");
+  if (network_ == Network::kSharedBus) {
+    if (!bus_) bus_ = std::make_unique<sim::Resource>(engine_, "bus");
+    bus_->reset();
+  }
+  messages_ = 0;
+  bytes_ = 0;
+  inflight_ = 0;
+  peak_inflight_ = 0;
+  drop_index_ = -1;
+  links_.resize(static_cast<std::size_t>(num_nodes));
+  for (auto& row : links_) row.clear();
+  suspended_.assign(static_cast<std::size_t>(num_nodes), nullptr);
+  transfers_.clear();
+  free_transfers_.clear();
 }
 
 Endpoint& Cluster::node(int rank) {
@@ -81,9 +108,26 @@ sim::Resource& Cluster::send_channel(int rank) {
 }
 
 sim::Resource& Cluster::recv_channel(int rank) {
-  auto& st = nodes_[static_cast<std::size_t>(rank)];
   // kDma shares one channel for both directions; kDuplexDma splits them.
-  return st.channel[1] ? *st.channel[1] : *st.channel[0];
+  return *nodes_[static_cast<std::size_t>(rank)]
+              .channel[level_ == mach::OverlapLevel::kDuplexDma ? 1 : 0];
+}
+
+std::map<std::pair<int, int>, i64> Cluster::traffic() const {
+  std::map<std::pair<int, int>, i64> out;
+  for (std::size_t src = 0; src < links_.size(); ++src)
+    for (const Link& l : links_[src])
+      out.emplace(std::make_pair(static_cast<int>(src), l.dst), l.bytes);
+  return out;
+}
+
+std::vector<void*> Cluster::take_suspended() {
+  std::vector<void*> out;
+  for (void*& address : suspended_) {
+    if (address) out.push_back(address);
+    address = nullptr;
+  }
+  return out;
 }
 
 void Cluster::track_sent(int src, int dst, i64 bytes) {
@@ -91,7 +135,13 @@ void Cluster::track_sent(int src, int dst, i64 bytes) {
   bytes_ += bytes;
   inflight_ += bytes;
   peak_inflight_ = std::max(peak_inflight_, inflight_);
-  traffic_[{src, dst}] += bytes;
+  std::vector<Link>& row = links_[static_cast<std::size_t>(src)];
+  for (Link& l : row)
+    if (l.dst == dst) {
+      l.bytes += bytes;
+      return;
+    }
+  row.push_back(Link{dst, bytes});
 }
 
 void Cluster::track_delivered(i64 bytes) {
@@ -99,123 +149,137 @@ void Cluster::track_delivered(i64 bytes) {
   TILO_ASSERT(inflight_ >= 0, "in-flight byte accounting went negative");
 }
 
+std::uint32_t Cluster::add_transfer(Message m,
+                                    std::shared_ptr<SendHandle> handle) {
+  std::uint32_t id;
+  if (free_transfers_.empty()) {
+    TILO_REQUIRE(transfers_.size() < UINT32_MAX, "transfer pool exhausted");
+    id = static_cast<std::uint32_t>(transfers_.size());
+    transfers_.emplace_back();
+  } else {
+    id = free_transfers_.back();
+    free_transfers_.pop_back();
+  }
+  Transfer& x = transfers_[id];
+  x.m = std::move(m);
+  x.handle = std::move(handle);
+  return id;
+}
+
+void Cluster::deliver_transfer(std::uint32_t id) {
+  Message m = std::move(transfers_[id].m);
+  free_transfers_.push_back(id);
+  endpoint(m.dst).deliver(std::move(m));
+}
+
+namespace {
+
+/// Marks a send complete and resumes its waiter, if any.
+void complete(SendHandle& h) {
+  h.done = true;
+  if (h.waiter) {
+    auto w = std::move(h.waiter);
+    h.waiter = nullptr;
+    w();
+  }
+}
+
+}  // namespace
+
 void Cluster::start_transfer(Message m,
                              const std::shared_ptr<SendHandle>& handle) {
   const i64 index = messages_;
   track_sent(m.src, m.dst, m.bytes);
   if (index == drop_index_) {
     // Lost on the wire: the local send "succeeds", nothing arrives.
-    handle->done = true;
-    if (handle->waiter) {
-      auto w = std::move(handle->waiter);
-      handle->waiter = nullptr;
-      w();
-    }
+    complete(*handle);
     track_delivered(m.bytes);
     return;
   }
+  const std::uint32_t id = add_transfer(std::move(m), handle);
   if (protocol_ == Protocol::kRendezvous) {
     // Request-to-send travels to the receiver; the data pipeline starts
     // only once a matching receive is posted (clear_to_send).
-    const int dst = m.dst;
-    const sim::Time rts = latency_ns(m.src, m.dst);
-    engine_.after(rts, [this, dst, handle, m = std::move(m)]() mutable {
-      nodes_[static_cast<std::size_t>(dst)].endpoint->rts_arrived(
-          std::move(m), handle);
+    const Message& x = transfers_[id].m;
+    engine_.after(latency_ns(x.src, x.dst), [this, id] {
+      endpoint(transfers_[id].m.dst).rts_arrived(id);
     });
     return;
   }
-  start_pipeline(std::move(m), handle);
+  start_pipeline(id);
 }
 
-void Cluster::clear_to_send(Message m, std::shared_ptr<SendHandle> handle) {
+void Cluster::clear_to_send(std::uint32_t id) {
   // CTS travels back to the sender, then the data ships.
-  const sim::Time cts = latency_ns(m.dst, m.src);
-  engine_.after(cts, [this, handle = std::move(handle),
-                      m = std::move(m)]() mutable {
-    start_pipeline(std::move(m), handle);
-  });
+  const Message& x = transfers_[id].m;
+  engine_.after(latency_ns(x.dst, x.src), [this, id] { start_pipeline(id); });
 }
 
-void Cluster::start_pipeline(Message m,
-                             const std::shared_ptr<SendHandle>& handle) {
-  const int src = m.src;
-  const int dst = m.dst;
-  const sim::Time b3 = fill_kernel_ns(m.bytes);
-  const sim::Time b4 = half_wire_ns(m.bytes, src, dst);
-  const sim::Time b1 = b4;
-  const sim::Time b2 = fill_kernel_ns(m.bytes);
-  const sim::Time lat = latency_ns(src, dst);
-
-  auto recv_leg = [this, dst, b1, b2](Message msg, sim::Time earliest) {
-    auto grant = recv_channel(dst).acquire(
-        earliest, b1 + b2,
-        [this, dst, msg = std::move(msg)]() mutable {
-          nodes_[static_cast<std::size_t>(dst)].endpoint->deliver(
-              std::move(msg));
-        });
-    if (sink_) {
-      sink_->span(dst, obs::Phase::kWire, grant.start, grant.start + b1);
-      sink_->span(dst, obs::Phase::kKernelRecv, grant.start + b1,
-                  grant.completion);
-    }
-  };
+void Cluster::start_pipeline(std::uint32_t id) {
+  Transfer& x = transfers_[id];
+  const int src = x.m.src;
+  const int dst = x.m.dst;
+  const sim::Time b3 = fill_kernel_ns(x.m.bytes);
+  x.wire = half_wire_ns(x.m.bytes, src, dst);  // B4, and B1 on arrival
+  x.recv_copy = fill_kernel_ns(x.m.bytes);     // B2
+  x.latency = latency_ns(src, dst);
+  const sim::Time b4 = x.wire;
 
   if (network_ == Network::kSwitched) {
     // Sender channel: kernel copy + send half of the wire time; then the
     // receiver channel picks up after the propagation latency.
-    auto grant = send_channel(src).acquire(
-        engine_.now(), b3 + b4,
-        [this, handle, recv_leg, lat, m = std::move(m)]() mutable {
-          handle->done = true;
-          if (handle->waiter) {
-            auto w = std::move(handle->waiter);
-            handle->waiter = nullptr;
-            w();
-          }
-          recv_leg(std::move(m), engine_.now() + lat);
-        });
+    const auto grant = send_channel(src).acquire(
+        engine_.now(), b3 + b4, [this, id] { send_leg_done(id); });
     if (sink_) {
       sink_->span(src, obs::Phase::kKernelSend, grant.start,
                   grant.start + b3);
       sink_->span(src, obs::Phase::kWire, grant.start + b3,
                   grant.completion);
     }
-  } else {
-    // Shared bus: the kernel copy runs on the sender channel, then the
-    // whole frame occupies the single bus, then the receiver kernel copy.
-    (void)recv_leg;  // switched-network path only
-    auto grant = send_channel(src).acquire(
-        engine_.now(), b3,
-        [this, handle, b4, b1, b2, lat, src, dst, m = std::move(m)]() mutable {
-          auto bus_grant = bus_->acquire(
-              engine_.now(), b4 + b1,
-              [this, handle, b2, lat, dst, m = std::move(m)]() mutable {
-                handle->done = true;
-                if (handle->waiter) {
-                  auto w = std::move(handle->waiter);
-                  handle->waiter = nullptr;
-                  w();
-                }
-                // Only the kernel copy remains on the receiver channel.
-                auto grant2 = recv_channel(dst).acquire(
-                    engine_.now() + lat, b2,
-                    [this, dst, m = std::move(m)]() mutable {
-                      nodes_[static_cast<std::size_t>(dst)]
-                          .endpoint->deliver(std::move(m));
-                    });
-                if (sink_)
-                  sink_->span(dst, obs::Phase::kKernelRecv, grant2.start,
-                              grant2.completion);
-              });
-          if (sink_)
-            sink_->span(src, obs::Phase::kWire, bus_grant.start,
-                        bus_grant.completion);
-        });
-    if (sink_)
-      sink_->span(src, obs::Phase::kKernelSend, grant.start,
-                  grant.completion);
+    return;
   }
+  // Shared bus: the kernel copy runs on the sender channel, then the whole
+  // frame occupies the single bus, then the receiver kernel copy.
+  const auto grant =
+      send_channel(src).acquire(engine_.now(), b3, [this, id] {
+        const Transfer& t = transfers_[id];
+        const auto bus_grant =
+            bus_->acquire(engine_.now(), t.wire + t.wire,
+                          [this, id] { send_leg_done(id); });
+        if (sink_)
+          sink_->span(t.m.src, obs::Phase::kWire, bus_grant.start,
+                      bus_grant.completion);
+      });
+  if (sink_)
+    sink_->span(src, obs::Phase::kKernelSend, grant.start, grant.completion);
+}
+
+void Cluster::send_leg_done(std::uint32_t id) {
+  // The waiter may resume a program that sends again (growing the pool),
+  // so the record is re-read afterwards, never held across the call.
+  std::shared_ptr<SendHandle> handle = std::move(transfers_[id].handle);
+  complete(*handle);
+  handle.reset();
+  const Transfer& x = transfers_[id];
+  const int dst = x.m.dst;
+  if (network_ == Network::kSwitched) {
+    const sim::Time b1 = x.wire;
+    const auto grant = recv_channel(dst).acquire(
+        engine_.now() + x.latency, b1 + x.recv_copy,
+        [this, id] { deliver_transfer(id); });
+    if (sink_) {
+      sink_->span(dst, obs::Phase::kWire, grant.start, grant.start + b1);
+      sink_->span(dst, obs::Phase::kKernelRecv, grant.start + b1,
+                  grant.completion);
+    }
+    return;
+  }
+  // Shared bus: only the kernel copy remains on the receiver channel.
+  const auto grant =
+      recv_channel(dst).acquire(engine_.now() + x.latency, x.recv_copy,
+                                [this, id] { deliver_transfer(id); });
+  if (sink_)
+    sink_->span(dst, obs::Phase::kKernelRecv, grant.start, grant.completion);
 }
 
 void Cluster::start_blocking_transfer(Message m) {
@@ -225,11 +289,9 @@ void Cluster::start_blocking_transfer(Message m) {
     track_delivered(m.bytes);
     return;  // lost on the wire
   }
-  const int dst = m.dst;
   const sim::Time lat = latency_ns(m.src, m.dst);
-  engine_.after(lat, [this, dst, m = std::move(m)]() mutable {
-    nodes_[static_cast<std::size_t>(dst)].endpoint->deliver(std::move(m));
-  });
+  const std::uint32_t id = add_transfer(std::move(m), nullptr);
+  engine_.after(lat, [this, id] { deliver_transfer(id); });
 }
 
 }  // namespace tilo::msg

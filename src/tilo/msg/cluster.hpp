@@ -3,9 +3,9 @@
 // testbed (see DESIGN.md §2).
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -15,6 +15,7 @@
 #include "tilo/obs/sink.hpp"
 #include "tilo/sim/engine.hpp"
 #include "tilo/sim/resource.hpp"
+#include "tilo/util/pool.hpp"
 
 namespace tilo::msg {
 
@@ -56,6 +57,17 @@ class Cluster {
           obs::Sink* sink = nullptr,
           Protocol protocol = Protocol::kEager);
 
+  /// Re-initializes the cluster for a new run, as if freshly constructed
+  /// with these arguments: the clock, every counter, the channels and the
+  /// matching tables start empty.  Pending events are dropped.  The event
+  /// pool, transfer pool, handle pools and table nodes keep their capacity,
+  /// so a reused cluster moves messages without heap allocation once warm.
+  void reset(int num_nodes, std::shared_ptr<const mach::Model> model,
+             mach::OverlapLevel level = mach::OverlapLevel::kDma,
+             Network network = Network::kSwitched,
+             obs::Sink* sink = nullptr,
+             Protocol protocol = Protocol::kEager);
+
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
   sim::Engine& engine() { return engine_; }
   const mach::MachineParams& params() const { return params_; }
@@ -82,24 +94,24 @@ class Cluster {
   /// receiver never sees it.  -1 disables (default).
   void inject_message_loss(i64 index) { drop_index_ = index; }
 
-  /// Bytes sent per (src, dst) pair — the communication matrix.
-  const std::map<std::pair<int, int>, i64>& traffic() const {
-    return traffic_;
-  }
+  /// Bytes sent per (src, dst) pair that exchanged at least one message —
+  /// the communication matrix.
+  std::map<std::pair<int, int>, i64> traffic() const;
 
   /// Suspended-program registry (used by the executors' coroutine
-  /// awaitables): a program parks its coroutine address while waiting on a
-  /// message handle and removes it on resume.  After the engine drains, a
+  /// awaitables).  Each rank runs one program, so each rank has one slot:
+  /// a program parks its coroutine address there while waiting on a
+  /// message handle and clears it on resume.  After the engine drains, a
   /// stalled run reclaims whatever is still parked so injected failures
   /// cannot leak coroutine frames.
-  void register_suspended(void* coroutine_address) {
-    suspended_.insert(coroutine_address);
+  void register_suspended(int rank, void* coroutine_address) {
+    suspended_[static_cast<std::size_t>(rank)] = coroutine_address;
   }
-  void unregister_suspended(void* coroutine_address) {
-    suspended_.erase(coroutine_address);
+  void unregister_suspended(int rank) {
+    suspended_[static_cast<std::size_t>(rank)] = nullptr;
   }
-  /// Returns and clears the parked set.
-  std::set<void*> take_suspended() { return std::move(suspended_); }
+  /// Returns the parked addresses in rank order and clears every slot.
+  std::vector<void*> take_suspended();
 
   // --- cost conversion helpers (seconds model -> simulated ns) ---
   // Wire helpers take an optional (src, dst) so heterogeneous-link models
@@ -123,28 +135,57 @@ class Cluster {
     std::unique_ptr<sim::Resource> channel[2];
   };
 
+  /// One message between send and delivery.  Pipeline callbacks capture
+  /// only {this, id}, which fits the engine's inline event slot.
+  struct Transfer {
+    Message m;
+    std::shared_ptr<SendHandle> handle;  // null on the blocking path
+    sim::Time wire = 0;       // B4 = B1: one half of the wire time
+    sim::Time recv_copy = 0;  // B2: receiver kernel copy
+    sim::Time latency = 0;
+  };
+
+  /// Bytes sent from one source to destination `dst`.
+  struct Link {
+    int dst = -1;
+    i64 bytes = 0;
+  };
+
   sim::Resource& send_channel(int rank);
   sim::Resource& recv_channel(int rank);
+  Endpoint& endpoint(int rank) {
+    return *nodes_[static_cast<std::size_t>(rank)].endpoint;
+  }
+
+  std::uint32_t add_transfer(Message m, std::shared_ptr<SendHandle> handle);
+  const Message& transfer_message(std::uint32_t id) const {
+    return transfers_[id].m;
+  }
+  /// Hands the transfer's message to its destination endpoint and returns
+  /// the record to the pool.
+  void deliver_transfer(std::uint32_t id);
 
   /// Overlapped (DMA) transfer entry; called by Endpoint::isend.  Eager
   /// protocol pipelines immediately; rendezvous first runs the RTS/CTS
   /// handshake against the receiver's posted-receive table.
   void start_transfer(Message m, const std::shared_ptr<SendHandle>& handle);
   /// The data pipeline itself (post-handshake under rendezvous).
-  void start_pipeline(Message m, const std::shared_ptr<SendHandle>& handle);
+  void start_pipeline(std::uint32_t id);
+  /// Sender side of the pipeline finished: the send buffer is free.
+  void send_leg_done(std::uint32_t id);
   /// Rendezvous: receiver granted the transfer; CTS travels back, then the
   /// pipeline runs.  Called by Endpoint when a matching irecv is posted.
-  void clear_to_send(Message m, std::shared_ptr<SendHandle> handle);
+  void clear_to_send(std::uint32_t id);
   /// Blocking-path delivery; called by Endpoint::post_blocking.
   void start_blocking_transfer(Message m);
 
   sim::Engine engine_;
   std::shared_ptr<const mach::Model> model_;
   mach::MachineParams params_;  // = model_->params(), cached for callers
-  mach::OverlapLevel level_;
-  Network network_;
-  Protocol protocol_;
-  obs::Sink* sink_;
+  mach::OverlapLevel level_ = mach::OverlapLevel::kDma;
+  Network network_ = Network::kSwitched;
+  Protocol protocol_ = Protocol::kEager;
+  obs::Sink* sink_ = nullptr;
   std::vector<NodeState> nodes_;
   std::unique_ptr<sim::Resource> bus_;  // kSharedBus only
   i64 messages_ = 0;
@@ -152,8 +193,17 @@ class Cluster {
   i64 inflight_ = 0;
   i64 peak_inflight_ = 0;
   i64 drop_index_ = -1;
-  std::map<std::pair<int, int>, i64> traffic_;
-  std::set<void*> suspended_;
+  // Per source rank, one entry per destination it has sent to: a rank
+  // talks to a few tile neighbours, so rows stay short and, unlike a
+  // ranks x ranks matrix, memory stays linear in the rank count.
+  std::vector<std::vector<Link>> links_;
+  std::vector<void*> suspended_;  // per rank
+  std::vector<Transfer> transfers_;
+  std::vector<std::uint32_t> free_transfers_;
+  std::shared_ptr<util::BlockPool> send_handles_ =
+      std::make_shared<util::BlockPool>();
+  std::shared_ptr<util::BlockPool> recv_handles_ =
+      std::make_shared<util::BlockPool>();
 
   void track_sent(int src, int dst, i64 bytes);
   void track_delivered(i64 bytes);

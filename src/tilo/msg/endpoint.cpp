@@ -1,6 +1,7 @@
 #include "tilo/msg/endpoint.hpp"
 
 #include "tilo/msg/cluster.hpp"
+#include "tilo/util/pool.hpp"
 #include "tilo/util/error.hpp"
 
 namespace tilo::msg {
@@ -28,7 +29,8 @@ std::shared_ptr<SendHandle> Endpoint::isend(int dst, i64 tag, i64 bytes,
                dst);
   TILO_REQUIRE(dst != rank_, "self-send is not supported");
   TILO_REQUIRE(bytes >= 0, "negative message size");
-  auto handle = std::make_shared<SendHandle>();
+  auto handle = std::allocate_shared<SendHandle>(
+      util::PoolAllocator<SendHandle>(cluster_->send_handles_));
   handle->bytes = bytes;
   cluster_->start_transfer(
       Message{rank_, dst, tag, bytes, std::move(payload)}, handle);
@@ -38,46 +40,49 @@ std::shared_ptr<SendHandle> Endpoint::isend(int dst, i64 tag, i64 bytes,
 std::shared_ptr<RecvHandle> Endpoint::irecv(int src, i64 tag) {
   TILO_REQUIRE(src >= 0 && src < cluster_->num_nodes(), "bad source ", src);
   TILO_REQUIRE(src != rank_, "self-receive is not supported");
-  auto handle = std::make_shared<RecvHandle>();
+  auto handle = std::allocate_shared<RecvHandle>(
+      util::PoolAllocator<RecvHandle>(cluster_->recv_handles_));
   handle->src = src;
   handle->tag = tag;
 
-  const Key key{src, tag};
-  auto it = arrived_.find(key);
-  if (it != arrived_.end() && !it->second.empty()) {
-    Message m = std::move(it->second.front());
-    it->second.pop_front();
-    if (it->second.empty()) arrived_.erase(it);
+  const MatchTable<Message>::Key key{src, tag};
+  if (std::optional<Message> m = arrived_.pop(key)) {
     handle->ready = true;
-    handle->payload = std::move(m.payload);
-    handle->bytes = m.bytes;
+    handle->payload = std::move(m->payload);
+    handle->bytes = m->bytes;
     return handle;
   }
-  posted_[key].push_back(handle);
+  posted_.push(key, handle);
   if (cluster_->protocol() == Protocol::kRendezvous) {
-    auto rts = rts_pending_.find(key);
-    if (rts != rts_pending_.end() && !rts->second.empty()) {
-      // A sender is parked on this key: grant its clear-to-send now.
-      auto [message, sender] = std::move(rts->second.front());
-      rts->second.pop_front();
-      if (rts->second.empty()) rts_pending_.erase(rts);
-      cluster_->clear_to_send(std::move(message), std::move(sender));
-    } else {
-      ++ungranted_posted_[key];
+    // A sender parked on this key gets its clear-to-send now; otherwise
+    // the receive waits, ungranted, for a request-to-send.
+    if (const std::optional<std::uint32_t> sender = rts_pending_.pop(key)) {
+      handle->granted = true;
+      cluster_->clear_to_send(*sender);
     }
   }
   return handle;
 }
 
-void Endpoint::rts_arrived(Message m, std::shared_ptr<SendHandle> handle) {
-  const Key key{m.src, m.tag};
-  auto it = ungranted_posted_.find(key);
-  if (it != ungranted_posted_.end() && it->second > 0) {
-    if (--it->second == 0) ungranted_posted_.erase(it);
-    cluster_->clear_to_send(std::move(m), std::move(handle));
+void Endpoint::rts_arrived(std::uint32_t transfer) {
+  const Message& m = cluster_->transfer_message(transfer);
+  const MatchTable<Message>::Key key{m.src, m.tag};
+  // Grants go to posted receives in posting order, so the ungranted ones
+  // are always a suffix of the key's FIFO.
+  std::shared_ptr<RecvHandle>* receiver = posted_.find_if(
+      key, [](const std::shared_ptr<RecvHandle>& h) { return !h->granted; });
+  if (receiver) {
+    (*receiver)->granted = true;
+    cluster_->clear_to_send(transfer);
     return;
   }
-  rts_pending_[key].emplace_back(std::move(m), std::move(handle));
+  rts_pending_.push(key, transfer);
+}
+
+void Endpoint::clear() {
+  arrived_.clear();
+  posted_.clear();
+  rts_pending_.clear();
 }
 
 void Endpoint::when_done(const std::shared_ptr<SendHandle>& h, Waiter fn) {
@@ -111,23 +116,20 @@ void Endpoint::post_blocking(int dst, i64 tag, i64 bytes, Payload payload) {
 
 void Endpoint::deliver(Message m) {
   cluster_->track_delivered(m.bytes);
-  const Key key{m.src, m.tag};
-  auto it = posted_.find(key);
-  if (it != posted_.end() && !it->second.empty()) {
-    std::shared_ptr<RecvHandle> h = std::move(it->second.front());
-    it->second.pop_front();
-    if (it->second.empty()) posted_.erase(it);
-    h->ready = true;
-    h->payload = std::move(m.payload);
-    h->bytes = m.bytes;
-    if (h->waiter) {
-      auto w = std::move(h->waiter);
-      h->waiter = nullptr;
+  const MatchTable<Message>::Key key{m.src, m.tag};
+  if (std::optional<std::shared_ptr<RecvHandle>> posted = posted_.pop(key)) {
+    RecvHandle& h = **posted;
+    h.ready = true;
+    h.payload = std::move(m.payload);
+    h.bytes = m.bytes;
+    if (h.waiter) {
+      auto w = std::move(h.waiter);
+      h.waiter = nullptr;
       w();
     }
     return;
   }
-  arrived_[key].push_back(std::move(m));
+  arrived_.push(key, std::move(m));
 }
 
 }  // namespace tilo::msg

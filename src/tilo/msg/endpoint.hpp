@@ -12,11 +12,13 @@
 // after which the message is "kernel-ready" and a matching irecv completes.
 #pragma once
 
-#include <deque>
+#include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "tilo/msg/message.hpp"
 #include "tilo/obs/sink.hpp"
@@ -43,6 +45,8 @@ struct SendHandle {
 /// in the kernel buffer; the CPU-side A3 copy is still the caller's to pay.
 struct RecvHandle {
   bool ready = false;
+  /// Rendezvous: a clear-to-send has been granted against this receive.
+  bool granted = false;
   Waiter waiter;
   int src = -1;
   i64 tag = 0;
@@ -103,21 +107,76 @@ class Endpoint {
   /// kernel-ready.
   void deliver(Message m);
 
-  /// Rendezvous protocol: a request-to-send reached this rank.  Grants a
-  /// clear-to-send immediately when an ungranted matching receive is
-  /// posted; otherwise parks the request until irecv.
-  void rts_arrived(Message m, std::shared_ptr<SendHandle> handle);
+  /// Rendezvous protocol: the request-to-send of the cluster's in-flight
+  /// transfer `transfer` reached this rank.  Grants a clear-to-send
+  /// immediately when an ungranted matching receive is posted; otherwise
+  /// parks the request until irecv.
+  void rts_arrived(std::uint32_t transfer);
+
+  /// Drops every pending entry (a reset cluster starts empty).
+  void clear();
+
+  /// Pending entries matched by (source, tag), oldest first within a key.
+  /// Each entry is one tree node; removed nodes are kept and refilled by
+  /// later pushes, so a warm table matches without heap allocation.
+  template <typename V>
+  class MatchTable {
+   public:
+    using Key = std::pair<int, i64>;  // (src, tag)
+
+    void push(const Key& key, V value) {
+      if (spare_.empty()) {
+        // multimap inserts at the upper bound of a key's range: FIFO.
+        map_.emplace(key, std::move(value));
+        return;
+      }
+      auto node = std::move(spare_.back());
+      spare_.pop_back();
+      node.key() = key;
+      node.mapped() = std::move(value);
+      map_.insert(std::move(node));
+    }
+
+    /// Removes and returns the oldest entry under `key`, if any.
+    std::optional<V> pop(const Key& key) {
+      const auto it = first(key);
+      if (it == map_.end()) return std::nullopt;
+      auto node = map_.extract(it);
+      std::optional<V> out(std::move(node.mapped()));
+      node.mapped() = V{};  // drop held payloads and handles now
+      spare_.push_back(std::move(node));
+      return out;
+    }
+
+    /// The first entry under `key` satisfying `pred`, or nullptr.
+    template <typename Pred>
+    V* find_if(const Key& key, Pred pred) {
+      for (auto it = first(key); it != map_.end() && it->first == key; ++it)
+        if (pred(it->second)) return &it->second;
+      return nullptr;
+    }
+
+    void clear() { map_.clear(); }
+
+   private:
+    using Map = std::multimap<Key, V>;
+
+    typename Map::iterator first(const Key& key) {
+      const auto it = map_.lower_bound(key);
+      return it != map_.end() && it->first == key ? it : map_.end();
+    }
+
+    Map map_;
+    std::vector<typename Map::node_type> spare_;
+  };
 
   Cluster* cluster_;
   int rank_;
 
-  using Key = std::pair<int, i64>;  // (src, tag)
-  std::map<Key, std::deque<Message>> arrived_;
-  std::map<Key, std::deque<std::shared_ptr<RecvHandle>>> posted_;
-  // Rendezvous bookkeeping: parked senders and not-yet-granted receives.
-  std::map<Key, std::deque<std::pair<Message, std::shared_ptr<SendHandle>>>>
-      rts_pending_;
-  std::map<Key, int> ungranted_posted_;
+  MatchTable<Message> arrived_;
+  MatchTable<std::shared_ptr<RecvHandle>> posted_;
+  // Rendezvous: senders (cluster transfer ids) parked until a receive.
+  MatchTable<std::uint32_t> rts_pending_;
 };
 
 }  // namespace tilo::msg

@@ -71,6 +71,20 @@ Vec ProcessorMapping::proc_of_rank(i64 rank) const {
   return p;
 }
 
+i64 ProcessorMapping::column_rank(const Vec& t, const Vec& offset,
+                                  i64 sign) const {
+  TILO_REQUIRE(t.size() == dims() && offset.size() == dims(),
+               "column_rank dimensionality mismatch");
+  i64 rank = 0;
+  for (std::size_t d = 0; d < dims(); ++d) {
+    if (d == mapped_dim_) continue;  // procs_[d] == 1, coordinate 0
+    const i64 c = t[d] + sign * offset[d];
+    if (c < tile_space_.lo()[d] || c > tile_space_.hi()[d]) return -1;
+    rank = rank * procs_[d] + (c - tile_space_.lo()[d]) / block_[d];
+  }
+  return rank;
+}
+
 Box ProcessorMapping::tiles_of_rank(i64 rank) const {
   const Vec p = proc_of_rank(rank);
   Vec lo(dims());

@@ -49,6 +49,12 @@ class ProcessorMapping {
 
   i64 rank_of_tile(const Vec& t) const { return rank_of_proc(proc_of_tile(t)); }
 
+  /// Rank owning the tile column through t + sign·offset, or -1 when that
+  /// column lies outside the tile space.  The mapped dimension is ignored:
+  /// a whole column shares one owner.  Allocation-free, for the executors'
+  /// per-column neighbour lookups.
+  i64 column_rank(const Vec& t, const Vec& offset, i64 sign) const;
+
   /// The sub-box of tile space owned by a rank (full extent along the
   /// mapping dimension).
   Box tiles_of_rank(i64 rank) const;

@@ -21,6 +21,19 @@ Engine::~Engine() {
   }
 }
 
+void Engine::reset() {
+  TILO_REQUIRE(!running_, "Engine::reset while running");
+  for (const Entry& ev : heap_) {
+    Slot& s = slot(ev.slot);
+    s.destroy(s);
+    free_slot(ev.slot);
+  }
+  heap_.clear();
+  now_ = 0;
+  next_seq_ = 0;
+  processed_ = 0;
+}
+
 void Engine::grow_pool() {
   const std::size_t base = chunks_.size() * kChunkSlots;
   TILO_REQUIRE(base + kChunkSlots <= UINT32_MAX, "event pool exhausted");

@@ -64,6 +64,13 @@ class Engine {
     at(util::checked_add(now_, dt), std::forward<F>(fn));
   }
 
+  /// Drops every pending event without running it and rewinds the clock,
+  /// sequence and event counters to a fresh engine's.  The slot pool and
+  /// heap keep their capacity, so a reused engine schedules without heap
+  /// traffic once warm; the (time, seq) order of a run after reset() is
+  /// that of a fresh engine.  Not callable while running.
+  void reset();
+
   /// Runs events until the queue drains.  Exceptions thrown by event
   /// handlers abort the run and are rethrown to the caller; the throwing
   /// event's slot is reclaimed, remaining events stay queued.

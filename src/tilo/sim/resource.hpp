@@ -36,6 +36,12 @@ class Resource {
     return g;
   }
 
+  /// Forgets all granted work (a fresh resource, for a reset engine).
+  void reset() {
+    free_at_ = 0;
+    busy_ = 0;
+  }
+
   /// Total granted busy time so far.
   Time busy_time() const { return busy_; }
   /// Time at which all granted work completes.

@@ -20,15 +20,20 @@ class BoundedQueue {
  public:
   explicit BoundedQueue(std::size_t capacity) : capacity_(capacity) {}
 
-  /// Non-blocking admission; false when the queue is full or closed.
-  bool try_push(T item) {
+  /// Non-blocking admission.  Returns the depth right after the push, as
+  /// seen under the queue's lock (so a high-water mark raised from it
+  /// cannot miss an item a worker pops at once), or 0 when the queue is
+  /// full or closed.
+  std::size_t try_push(T item) {
+    std::size_t depth = 0;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (closed_ || items_.size() >= capacity_) return false;
+      if (closed_ || items_.size() >= capacity_) return 0;
       items_.push_back(std::move(item));
+      depth = items_.size();
     }
     cv_.notify_one();
-    return true;
+    return depth;
   }
 
   /// Blocks until an item is available or the queue is closed and empty.

@@ -387,9 +387,8 @@ void Server::admit_compile(const std::shared_ptr<Conn>& conn, Request req) {
     auto flight = std::make_shared<Flight>();
     flight->params = std::move(req.compile);
     flight->members.push_back(std::move(member));
-    if (queue_.try_push(Work{key, flight})) {
+    if (const std::size_t depth = queue_.try_push(Work{key, flight})) {
       flights_.emplace(std::move(key), std::move(flight));
-      const std::size_t depth = queue_.depth();
       std::size_t seen = max_queue_depth_.load(std::memory_order_relaxed);
       while (depth > seen &&
              !max_queue_depth_.compare_exchange_weak(

@@ -4,6 +4,7 @@
 // sanity (overlap >= utilization argument).
 #include <gtest/gtest.h>
 
+#include "tilo/core/problem.hpp"
 #include "tilo/exec/run.hpp"
 #include "tilo/loopnest/workloads.hpp"
 #include "tilo/trace/timeline.hpp"
@@ -252,6 +253,34 @@ TEST(ExecTimedTest, PipelinedTripletStructureMatchesExample2) {
     }
   }
   EXPECT_GT(checked, 5);
+}
+
+TEST(ExecWorkspaceTest, ReuseAcrossNestsWithDifferentDependences) {
+  // Same domain and tile sides, one extra dependence: the message lists
+  // differ, so a workspace reused across the two nests (as the sweep
+  // arena and fleet units do) must rebuild its comm table.
+  const core::Problem base = core::paper_problem_iii();
+  core::Problem extra = base;
+  std::vector<Vec> deps = base.nest.deps().vectors();
+  deps.push_back(Vec{1, 1, 0});
+  extra.nest = LoopNest(base.nest.name(), base.nest.domain(),
+                        DependenceSet(deps), base.nest.kernel_ptr());
+  for (auto kind : {ScheduleKind::kOverlap, ScheduleKind::kNonOverlap}) {
+    const TilePlan plan_base = base.plan(116, kind);
+    const TilePlan plan_extra = extra.plan(116, kind);
+    ASSERT_EQ(plan_base.space.tiling().sides(),
+              plan_extra.space.tiling().sides());
+    exec::RunWorkspace ws;
+    (void)exec::run_plan(base.nest, plan_base, base.machine, {}, &ws);
+    const RunResult reused =
+        exec::run_plan(extra.nest, plan_extra, extra.machine, {}, &ws);
+    const RunResult fresh =
+        exec::run_plan(extra.nest, plan_extra, extra.machine);
+    EXPECT_EQ(reused.messages, fresh.messages);
+    EXPECT_EQ(reused.bytes, fresh.bytes);
+    EXPECT_EQ(reused.completion, fresh.completion);
+    EXPECT_EQ(reused.events, fresh.events);
+  }
 }
 
 TEST(ExecErrorTest, MismatchedDomainRejected) {
