@@ -56,9 +56,10 @@ BENCHMARK(BM_EngineEventThroughputStdFunction)->Arg(100000);
 
 static void BM_MessagePipeline(benchmark::State& state) {
   const int msgs = static_cast<int>(state.range(0));
-  const mach::MachineParams params = mach::MachineParams::paper_cluster();
+  const auto model = std::make_shared<mach::IdealOverlapModel>(
+      mach::MachineParams::paper_cluster());
   for (auto _ : state) {
-    msg::Cluster c(2, params);
+    msg::Cluster c(2, model);
     for (int i = 0; i < msgs; ++i) c.node(1).irecv(0, i);
     c.engine().at(0, [&] {
       for (int i = 0; i < msgs; ++i) c.node(0).isend(1, i, 7104);

@@ -1,11 +1,8 @@
 #include "tilo/fleet/controller.hpp"
 
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
+#include <functional>
 #include <limits>
 #include <numeric>
 #include <ostream>
@@ -67,28 +64,15 @@ std::vector<sched::TenantStatus> acct_rows_from_json(std::string_view text) {
 
 }  // namespace
 
-/// One worker connection.  Every fleet op is answered inline by the reader
-/// thread (the bookkeeping is microseconds, unlike a compile), so no
-/// worker pool and no cross-thread writes — the mutex is belt and braces
-/// for shutdown.
-struct Controller::Conn {
-  explicit Conn(Fd f) : fd(std::move(f)) {}
-  Fd fd;
-  std::mutex write_mu;
-};
-
-struct Controller::ConnSlot {
-  std::thread thread;
-  std::atomic<bool> done{false};
-};
-
 Controller::Controller(ControllerConfig cfg, std::vector<WorkUnit> units)
     : Controller(std::move(cfg), wrap_units(std::move(units))) {}
 
 Controller::Controller(ControllerConfig cfg, std::vector<JobArray> jobs)
     : cfg_(std::move(cfg)),
       policy_(sched::make_policy(cfg_.sched)),
-      merge_(0) {
+      merge_(0),
+      listener_(cfg_.max_frame_bytes,
+                std::bind_front(&Controller::on_frame, this)) {
   TILO_REQUIRE(cfg_.credit >= 1, "fleet: credit window must be >= 1, got ",
                cfg_.credit);
   TILO_REQUIRE(cfg_.heartbeat_ms >= 1, "fleet: heartbeat_ms must be >= 1");
@@ -203,9 +187,7 @@ void Controller::preempt_locked(const std::vector<std::size_t>& victims,
 
 void Controller::start() {
   TILO_REQUIRE(!started_.load(), "fleet::Controller::start called twice");
-  addr_ = Address::parse(cfg_.address);
-  listen_fd_ = svc::listen_on(addr_);
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  listener_.start(cfg_.address);
   tick_thread_ = std::thread([this] { tick_loop(); });
   started_.store(true, std::memory_order_release);
 }
@@ -232,77 +214,30 @@ void Controller::stop() {
     std::lock_guard<std::mutex> lock(mu_);
     cv_tick_.notify_all();
   }
-  if (listen_fd_.valid()) ::shutdown(listen_fd_.get(), SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
+  listener_.stop_accepting();
   if (tick_thread_.joinable()) tick_thread_.join();
-  listen_fd_.reset();
-  if (addr_.kind == Address::Kind::kUnix) ::unlink(addr_.path.c_str());
-
-  std::vector<std::unique_ptr<ConnSlot>> slots;
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (const std::shared_ptr<Conn>& conn : conns_)
-      ::shutdown(conn->fd.get(), SHUT_RD);
-    slots.swap(conn_slots_);
-  }
-  for (const std::unique_ptr<ConnSlot>& slot : slots)
-    if (slot->thread.joinable()) slot->thread.join();
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    conns_.clear();
-  }
+  listener_.close();
   // Every charge has landed (workers are gone); persist the final usage.
   snapshot_accounting();
 }
 
-void Controller::accept_loop() {
-  for (;;) {
-    Fd fd = svc::accept_on(listen_fd_.get());
-    if (stopping_.load(std::memory_order_acquire)) break;
-    if (!fd.valid()) {
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      break;
-    }
-    auto conn = std::make_shared<Conn>(std::move(fd));
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (auto it = conn_slots_.begin(); it != conn_slots_.end();) {
-      if ((*it)->done.load(std::memory_order_acquire)) {
-        (*it)->thread.join();
-        it = conn_slots_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    conns_.push_back(conn);
-    auto slot = std::make_unique<ConnSlot>();
-    ConnSlot* raw = slot.get();
-    slot->thread = std::thread([this, conn, raw] {
-      conn_loop(conn);
-      raw->done.store(true, std::memory_order_release);
-    });
-    conn_slots_.push_back(std::move(slot));
-  }
-}
-
-void Controller::conn_loop(std::shared_ptr<Conn> conn) {
-  std::string payload;
-  for (;;) {
-    const svc::FrameStatus st =
-        svc::read_frame(conn->fd.get(), payload, cfg_.max_frame_bytes);
-    if (st != svc::FrameStatus::kFrame) break;
-    svc::Response resp;
+/// Every fleet op is answered inline on the reader thread: the
+/// bookkeeping is microseconds, unlike a compile, so there is no worker
+/// pool and a failed write simply ends the connection.
+bool Controller::on_frame(const std::shared_ptr<svc::Listener::Conn>& conn,
+                          svc::FrameStatus status, const std::string& payload) {
+  svc::Response resp;
+  if (status == svc::FrameStatus::kOversized) {
+    resp = svc::oversized_frame_response(cfg_.max_frame_bytes);
+  } else {
     try {
       resp = handle(svc::request_from_json(Json::parse(payload)));
     } catch (const util::Error& e) {
       resp.status = svc::RespStatus::kBadRequest;
       resp.error = e.what();
     }
-    const std::string wire = svc::response_to_wire(resp);
-    std::lock_guard<std::mutex> lock(conn->write_mu);
-    if (!svc::write_frame(conn->fd.get(), wire)) break;
   }
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  conns_.erase(std::remove(conns_.begin(), conns_.end(), conn), conns_.end());
+  return conn->send(svc::response_to_wire(resp));
 }
 
 /// The eviction clock: scan every half heartbeat interval, evict members
@@ -715,7 +650,7 @@ FleetStats Controller::stats() const {
 
 void Controller::write_report(std::ostream& os) const {
   const FleetStats s = stats();
-  os << "fleet report (" << addr_.str() << ")\n"
+  os << "fleet report (" << address().str() << ")\n"
      << "  units       " << s.completed << " of " << s.units << " completed ("
      << s.pending << " pending, " << s.in_flight << " in flight)\n"
      << "  workers     " << s.workers << " registered now, " << s.registered

@@ -114,17 +114,17 @@ class Controller {
   Controller(const Controller&) = delete;
   Controller& operator=(const Controller&) = delete;
 
-  /// Binds the socket and starts the accept + eviction threads.
+  /// Binds the socket and starts the listener and eviction threads.
   void start();
 
   /// The bound address (resolves "tcp:0" to the kernel-assigned port).
-  const Address& address() const { return addr_; }
+  const Address& address() const { return listener_.address(); }
 
   /// The in-process fast lane for co-located workers: serves one fleet op
   /// directly, skipping frame encode/decode and the socket round trip.
-  /// Exactly the dispatch conn_loop performs for a wire request (same
-  /// bookkeeping, same counters, same responses), so a local worker is
-  /// indistinguishable from a remote one to the unit state machine.
+  /// Exactly the dispatch a wire request gets (same bookkeeping, same
+  /// counters, same responses), so a local worker is indistinguishable
+  /// from a remote one to the unit state machine.
   /// Thread-safe; usable as soon as the controller is constructed.
   svc::Response call_local(const svc::Request& req);
 
@@ -164,11 +164,8 @@ class Controller {
     i64 first_lease_ns = 0;
     int lease_count = 0;  ///< total leases ever (speculation cap)
   };
-  struct Conn;
-  struct ConnSlot;
-
-  void accept_loop();
-  void conn_loop(std::shared_ptr<Conn> conn);
+  bool on_frame(const std::shared_ptr<svc::Listener::Conn>& conn,
+                svc::FrameStatus status, const std::string& payload);
   void tick_loop();
   svc::Response handle(const svc::Request& req);
   void restore_accounting(i64 now);
@@ -190,16 +187,9 @@ class Controller {
   void preempt_locked(const std::vector<std::size_t>& victims, i64 now);
 
   ControllerConfig cfg_;
-  Address addr_;
-  Fd listen_fd_;
-  std::thread accept_thread_;
   std::thread tick_thread_;
   std::atomic<bool> started_{false};
   std::atomic<bool> stopping_{false};
-
-  std::mutex conns_mu_;
-  std::vector<std::shared_ptr<Conn>> conns_;
-  std::vector<std::unique_ptr<ConnSlot>> conn_slots_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_done_;
@@ -226,6 +216,10 @@ class Controller {
   std::uint64_t duplicates_ = 0;
   std::uint64_t heartbeats_ = 0;
   std::uint64_t unit_polls_ = 0;
+
+  /// Declared last: its readers call into everything above, so it must be
+  /// destroyed (and its threads joined) first.
+  svc::Listener listener_;
 };
 
 }  // namespace tilo::fleet

@@ -7,13 +7,6 @@
 
 namespace tilo::msg {
 
-Cluster::Cluster(int num_nodes, const mach::MachineParams& params,
-                 mach::OverlapLevel level, Network network,
-                 obs::Sink* sink, Protocol protocol)
-    : Cluster(num_nodes,
-              std::make_shared<mach::IdealOverlapModel>(params), level,
-              network, sink, protocol) {}
-
 Cluster::Cluster(int num_nodes, std::shared_ptr<const mach::Model> model,
                  mach::OverlapLevel level, Network network,
                  obs::Sink* sink, Protocol protocol) {

@@ -48,15 +48,6 @@ class Cluster {
           obs::Sink* sink = nullptr,
           Protocol protocol = Protocol::kEager);
 
-  /// Deprecation shim: wraps `params` in an IdealOverlapModel, whose hook
-  /// expressions match the historical direct-params arithmetic bit for
-  /// bit.  Kept for one release; migrate to the model constructor.
-  Cluster(int num_nodes, const mach::MachineParams& params,
-          mach::OverlapLevel level = mach::OverlapLevel::kDma,
-          Network network = Network::kSwitched,
-          obs::Sink* sink = nullptr,
-          Protocol protocol = Protocol::kEager);
-
   /// Re-initializes the cluster for a new run, as if freshly constructed
   /// with these arguments: the clock, every counter, the channels and the
   /// matching tables start empty.  Pending events are dropped.  The event

@@ -223,4 +223,12 @@ Response response_from_wire(std::string_view text) {
   return resp;
 }
 
+Response oversized_frame_response(std::size_t max_frame_bytes) {
+  Response resp;
+  resp.status = RespStatus::kBadRequest;
+  resp.error = util::concat("frame length exceeds the ", max_frame_bytes,
+                            "-byte cap");
+  return resp;
+}
+
 }  // namespace tilo::svc

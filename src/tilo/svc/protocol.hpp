@@ -133,4 +133,8 @@ struct Response {
 std::string response_to_wire(const Response& resp);
 Response response_from_wire(std::string_view text);  ///< throws on malformed
 
+/// The one answer to a length prefix beyond `max_frame_bytes`, sent before
+/// the connection closes.
+Response oversized_frame_response(std::size_t max_frame_bytes);
+
 }  // namespace tilo::svc

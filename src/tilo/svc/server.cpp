@@ -2,13 +2,13 @@
 
 #include <poll.h>
 #include <signal.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <ostream>
 
 #include "tilo/pipeline/serialize.hpp"
@@ -30,20 +30,6 @@ std::int64_t now_ns() {
 }  // namespace
 
 // ------------------------------------------------------- internal structs
-
-/// One client connection: the socket plus a write lock, because the worker
-/// completing a flight and the reader answering a ping may respond to the
-/// same connection concurrently.
-struct Server::Conn {
-  explicit Conn(Fd f) : fd(std::move(f)) {}
-  Fd fd;
-  std::mutex write_mu;
-};
-
-struct Server::ConnSlot {
-  std::thread thread;
-  std::atomic<bool> done{false};
-};
 
 /// One admitted request waiting for a flight's result.
 struct Server::Member {
@@ -84,7 +70,10 @@ double histogram_percentile_ns(const obs::LogHistogram& hist, double q) {
 // ----------------------------------------------------------------- Server
 
 Server::Server(ServerConfig config)
-    : cfg_(std::move(config)), queue_(cfg_.queue_capacity) {
+    : cfg_(std::move(config)),
+      queue_(cfg_.queue_capacity),
+      listener_(cfg_.max_frame_bytes,
+                std::bind_front(&Server::on_frame, this)) {
   TILO_REQUIRE(cfg_.workers >= 1, "svc: need at least one worker, got ",
                cfg_.workers);
   TILO_REQUIRE(cfg_.queue_capacity >= 1, "svc: queue capacity must be >= 1");
@@ -106,16 +95,16 @@ void Server::start() {
   }
   if (cfg_.quota.rate > 0.0)
     quota_ = std::make_unique<store::Quota>(cfg_.quota);
-  addr_ = Address::parse(cfg_.address);
-  listen_fd_ = listen_on(addr_);
   int pipe_fds[2];
   TILO_REQUIRE(::pipe(pipe_fds) == 0, "pipe: ", std::strerror(errno));
   wake_rd_.reset(pipe_fds[0]);
   wake_wr_.reset(pipe_fds[1]);
+  // Bind before spawning workers: a bad address throws with nothing to
+  // join.  A frame accepted early simply waits in the queue.
+  listener_.start(cfg_.address);
   workers_.reserve(static_cast<std::size_t>(cfg_.workers));
   for (int i = 0; i < cfg_.workers; ++i)
     workers_.emplace_back([this, i] { worker_loop(i); });
-  accept_thread_ = std::thread([this] { accept_loop(); });
   started_.store(true, std::memory_order_release);
 }
 
@@ -145,11 +134,8 @@ void Server::drain() {
   if (!started_.load() || drained_.load()) return;
   draining_.store(true, std::memory_order_release);
 
-  // 1. Stop accepting: wake the accept thread and join it.
-  if (listen_fd_.valid()) ::shutdown(listen_fd_.get(), SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  listen_fd_.reset();
-  if (addr_.kind == Address::Kind::kUnix) ::unlink(addr_.path.c_str());
+  // 1. Stop accepting.
+  listener_.stop_accepting();
 
   // 2. Finish every admitted request: close the queue (readers now shed
   //    instead of enqueueing), let the workers drain the backlog, join.
@@ -160,80 +146,21 @@ void Server::drain() {
 
   // 3. Disconnect readers (every in-flight response was written in step 2)
   //    and join their threads.
-  std::vector<std::unique_ptr<ConnSlot>> slots;
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (const std::shared_ptr<Conn>& conn : conns_)
-      ::shutdown(conn->fd.get(), SHUT_RD);
-    slots.swap(conn_slots_);
-  }
-  for (const std::unique_ptr<ConnSlot>& slot : slots)
-    if (slot->thread.joinable()) slot->thread.join();
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    conns_.clear();
-  }
+  listener_.close();
   drained_.store(true, std::memory_order_release);
 }
 
-void Server::accept_loop() {
-  for (;;) {
-    Fd fd = accept_on(listen_fd_.get());
-    if (draining_.load(std::memory_order_acquire)) break;
-    if (!fd.valid()) {
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      break;  // listening socket gone
-    }
-    connections_.fetch_add(1, std::memory_order_relaxed);
-    auto conn = std::make_shared<Conn>(std::move(fd));
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    // Reap readers whose connections already ended, so a long-running
-    // server's thread table tracks live connections, not total ever seen.
-    for (auto it = conn_slots_.begin(); it != conn_slots_.end();) {
-      if ((*it)->done.load(std::memory_order_acquire)) {
-        (*it)->thread.join();
-        it = conn_slots_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    conns_.push_back(conn);
-    auto slot = std::make_unique<ConnSlot>();
-    ConnSlot* raw = slot.get();
-    slot->thread = std::thread([this, conn, raw] {
-      conn_loop(conn);
-      raw->done.store(true, std::memory_order_release);
-    });
-    conn_slots_.push_back(std::move(slot));
+bool Server::on_frame(const std::shared_ptr<Conn>& conn, FrameStatus status,
+                      const std::string& payload) {
+  if (status == FrameStatus::kOversized) {
+    // The prefix itself is the protocol violation; the listener closes the
+    // unframeable stream after this one answer.
+    requests_.fetch_add(1, std::memory_order_relaxed);
+    send(conn, oversized_frame_response(cfg_.max_frame_bytes), now_ns());
+    return false;
   }
-}
-
-void Server::conn_loop(std::shared_ptr<Conn> conn) {
-  std::string payload;
-  for (;;) {
-    const FrameStatus st =
-        read_frame(conn->fd.get(), payload, cfg_.max_frame_bytes);
-    if (st == FrameStatus::kFrame) {
-      handle_frame(conn, payload);
-      continue;
-    }
-    if (st == FrameStatus::kOversized) {
-      // The prefix itself is the protocol violation; after it the stream
-      // is unframeable, so answer once and close.
-      requests_.fetch_add(1, std::memory_order_relaxed);
-      Response resp;
-      resp.status = RespStatus::kBadRequest;
-      resp.error = util::concat("frame length exceeds the ",
-                                cfg_.max_frame_bytes, "-byte cap");
-      send(conn, std::move(resp), now_ns());
-    }
-    break;  // kClosed, kTruncated, kError, kOversized: connection ends
-  }
-  // Deregister; the Conn object stays alive (via shared_ptr members) until
-  // any worker still holding it for an in-flight response is done with it.
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  conns_.erase(std::remove(conns_.begin(), conns_.end(), conn),
-               conns_.end());
+  handle_frame(conn, payload);
+  return true;
 }
 
 void Server::handle_frame(const std::shared_ptr<Conn>& conn,
@@ -531,19 +458,15 @@ void Server::send(const std::shared_ptr<Conn>& conn, Response resp,
     cfg_.sink->counter(util::concat("svc.responses.",
                                     status_name(resp.status)),
                        1);
-  const std::string wire = response_to_wire(resp);
-  {
-    std::lock_guard<std::mutex> lock(conn->write_mu);
-    // A false return means the client vanished mid-request; the request
-    // was still answered as far as accounting goes.
-    (void)write_frame(conn->fd.get(), wire);
-  }
+  // A false return means the client vanished mid-request; the request was
+  // still answered as far as accounting goes.
+  (void)conn->send(response_to_wire(resp));
   if (admitted_ns >= 0) latency_.add(now_ns() - admitted_ns);
 }
 
 ServerStats Server::stats() const {
   ServerStats s;
-  s.connections = connections_.load(std::memory_order_relaxed);
+  s.connections = listener_.accepted();
   s.requests = requests_.load(std::memory_order_relaxed);
   s.completed = completed_.load(std::memory_order_relaxed);
   s.shed = shed_.load(std::memory_order_relaxed);
@@ -602,7 +525,7 @@ std::string Server::stats_result_json() const {
 void Server::write_summary(std::ostream& os) const {
   const ServerStats s = stats();
   const std::uint64_t cache_total = s.cache_hits + s.cache_misses;
-  os << "svc summary (" << addr_.str() << ")\n"
+  os << "svc summary (" << address().str() << ")\n"
      << "  requests    " << s.requests << "  (ok " << s.completed
      << ", overloaded " << s.shed << ", timeout " << s.timed_out
      << ", error " << s.failed << ", rejected " << s.rejected

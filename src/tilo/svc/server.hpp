@@ -1,9 +1,10 @@
 // svc::Server — the long-running plan-compilation service.
 //
-// Architecture (DESIGN.md §11): an accept thread hands each connection to a
-// lightweight reader thread that parses frames and *admits* requests; a
-// fixed worker pool drains a bounded admission queue through one shared
-// staged-compiler configuration and a multi-problem core::PlanCache.
+// Architecture (DESIGN.md §11): a svc::Listener hands each frame to the
+// server on its connection's reader thread, which parses it and *admits*
+// the request; a fixed worker pool drains a bounded admission queue
+// through one shared staged-compiler configuration and a multi-problem
+// core::PlanCache.
 // Robustness is part of the contract:
 //
 //   backpressure   try_push on the bounded queue; a full queue answers
@@ -107,7 +108,7 @@ class Server {
   void start();
 
   /// The resolved address (tcp:0 becomes the kernel-chosen port).
-  const Address& address() const { return addr_; }
+  const Address& address() const { return listener_.address(); }
 
   /// Blocks until `wake_fd` becomes readable (pass a SignalDrain fd; -1 =
   /// none) or a client sends the "shutdown" op, then drains and returns.
@@ -134,8 +135,7 @@ class Server {
   void write_summary(std::ostream& os) const;
 
  private:
-  struct Conn;
-  struct ConnSlot;  ///< a reader thread + its "finished, reap me" flag
+  using Conn = Listener::Conn;
   struct Flight;
   struct Member;
   struct Work {
@@ -143,9 +143,9 @@ class Server {
     std::shared_ptr<Flight> flight;
   };
 
-  void accept_loop();
-  void conn_loop(std::shared_ptr<Conn> conn);
   void worker_loop(int worker_index);
+  bool on_frame(const std::shared_ptr<Conn>& conn, FrameStatus status,
+                const std::string& payload);
   void handle_frame(const std::shared_ptr<Conn>& conn,
                     const std::string& payload);
   void admit_compile(const std::shared_ptr<Conn>& conn, Request req);
@@ -157,8 +157,6 @@ class Server {
   void request_shutdown();
 
   ServerConfig cfg_;
-  Address addr_;
-  Fd listen_fd_;
   Fd wake_rd_, wake_wr_;  ///< self-pipe: the wire "shutdown" op → run_until
 
   core::PlanCache cache_{core::PlanCache::Scope::kMultiProblem};
@@ -166,11 +164,7 @@ class Server {
   std::unique_ptr<store::Quota> quota_;      ///< null = no admission quotas
   BoundedQueue<Work> queue_;
 
-  std::thread accept_thread_;
   std::vector<std::thread> workers_;
-  std::mutex conns_mu_;
-  std::vector<std::shared_ptr<Conn>> conns_;
-  std::vector<std::unique_ptr<ConnSlot>> conn_slots_;
 
   std::mutex flights_mu_;
   std::unordered_map<std::string, std::shared_ptr<Flight>> flights_;
@@ -181,11 +175,15 @@ class Server {
   std::mutex drain_mu_;  ///< serializes drain() callers
 
   // Outcome counters (relaxed: each is touched by exactly one event).
-  std::atomic<std::uint64_t> connections_{0}, requests_{0}, completed_{0},
-      shed_{0}, timed_out_{0}, failed_{0}, rejected_{0}, quota_denied_{0},
+  std::atomic<std::uint64_t> requests_{0}, completed_{0}, shed_{0},
+      timed_out_{0}, failed_{0}, rejected_{0}, quota_denied_{0},
       batched_{0}, compiles_{0};
   std::atomic<std::size_t> max_queue_depth_{0};
   obs::LogHistogram latency_;
+
+  /// Declared last: its readers call into everything above, so it must be
+  /// destroyed (and its threads joined) first.
+  Listener listener_;
 };
 
 /// Installs SIGTERM + SIGINT handlers that write one byte to a pipe, so a

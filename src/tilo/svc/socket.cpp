@@ -8,6 +8,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -248,6 +249,100 @@ bool write_frame(int fd, std::string_view payload) {
     return false;
   }
   return true;
+}
+
+// --------------------------------------------------------------- Listener
+
+bool Listener::Conn::send(std::string_view wire) {
+  std::lock_guard<std::mutex> lock(write_mu_);
+  return write_frame(fd_.get(), wire);
+}
+
+Listener::Listener(std::size_t max_frame_bytes, Handler handler)
+    : max_frame_bytes_(max_frame_bytes), handler_(std::move(handler)) {}
+
+Listener::~Listener() { close(); }
+
+void Listener::start(std::string_view address) {
+  TILO_REQUIRE(!listen_fd_.valid(), "svc::Listener::start called twice");
+  addr_ = Address::parse(address);
+  listen_fd_ = listen_on(addr_);
+  accept_thread_ = std::thread([this] { accept_loop(); });
+}
+
+void Listener::stop_accepting() {
+  stopping_.store(true, std::memory_order_release);
+  if (listen_fd_.valid()) ::shutdown(listen_fd_.get(), SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
+  if (!listen_fd_.valid()) return;
+  listen_fd_.reset();
+  if (addr_.kind == Address::Kind::kUnix) ::unlink(addr_.path.c_str());
+}
+
+void Listener::close() {
+  stop_accepting();
+  std::vector<std::unique_ptr<Reader>> readers;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const std::unique_ptr<Reader>& r : readers_)
+      if (r->conn) ::shutdown(r->conn->fd(), SHUT_RD);
+    readers.swap(readers_);
+  }
+  for (const std::unique_ptr<Reader>& r : readers) r->thread.join();
+}
+
+std::size_t Listener::live() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return static_cast<std::size_t>(
+      std::count_if(readers_.begin(), readers_.end(),
+                    [](const std::unique_ptr<Reader>& r) { return r->conn; }));
+}
+
+std::size_t Listener::readers() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return readers_.size();
+}
+
+void Listener::accept_loop() {
+  for (;;) {
+    Fd fd = accept_on(listen_fd_.get());
+    if (stopping_.load(std::memory_order_acquire)) break;
+    if (!fd.valid()) {
+      if (errno == EINTR || errno == ECONNABORTED) continue;
+      break;  // listening socket gone
+    }
+    accepted_.fetch_add(1, std::memory_order_relaxed);
+    auto conn = std::make_shared<Conn>(std::move(fd));
+    std::lock_guard<std::mutex> lock(mu_);
+    // Reap readers whose connections already ended.
+    for (auto it = readers_.begin(); it != readers_.end();) {
+      if ((*it)->conn) {
+        ++it;
+        continue;
+      }
+      (*it)->thread.join();
+      it = readers_.erase(it);
+    }
+    auto reader = std::make_unique<Reader>();
+    reader->conn = conn;
+    Reader* raw = reader.get();
+    reader->thread = std::thread(
+        [this, raw, conn]() mutable { read_loop(raw, std::move(conn)); });
+    readers_.push_back(std::move(reader));
+  }
+}
+
+void Listener::read_loop(Reader* reader, std::shared_ptr<Conn> conn) {
+  std::string payload;
+  for (;;) {
+    const FrameStatus st = read_frame(conn->fd(), payload, max_frame_bytes_);
+    if (st != FrameStatus::kFrame && st != FrameStatus::kOversized) break;
+    // After an oversized prefix the stream is unframeable: one call, then
+    // the connection ends whatever the handler returns.
+    if (!handler_(conn, st, payload) || st == FrameStatus::kOversized) break;
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  reader->conn.reset();
 }
 
 }  // namespace tilo::svc

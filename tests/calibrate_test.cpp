@@ -77,10 +77,11 @@ TEST(CalibrateTest, FitsTheSimulatorsEmergentMessageCost) {
   p.fill_mpi_buffer = mach::AffineCost{10e-6, 1e-9};
   p.fill_kernel_buffer = mach::AffineCost{15e-6, 2e-9};
 
+  const auto model = std::make_shared<mach::IdealOverlapModel>(p);
   std::vector<CostSample> samples;
   for (util::i64 bytes : {1000, 2000, 4000, 8000}) {
     constexpr int kMessages = 64;
-    msg::Cluster c(2, p);
+    msg::Cluster c(2, model);
     for (int i = 0; i < kMessages; ++i) c.node(1).irecv(0, i);
     c.engine().at(0, [&] {
       for (int i = 0; i < kMessages; ++i) c.node(0).isend(1, i, bytes);

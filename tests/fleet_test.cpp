@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -501,6 +502,108 @@ TEST(FleetControllerTest, CompileOpIsRefusedByTheController) {
   EXPECT_EQ(resp.status, svc::RespStatus::kBadRequest);
   EXPECT_NE(resp.error.find("fleet controller"), std::string::npos);
   controller.stop();
+}
+
+// ---------------------------------------------------------------------------
+// Hostile wire input: the controller serves through the same svc::Listener
+// as the compile server, so a bad frame costs at most its own connection.
+
+namespace {
+
+/// A started controller over toy units, plus raw-socket access to it.
+struct WireController {
+  explicit WireController(std::size_t max_frame_bytes =
+                              svc::kDefaultMaxFrameBytes)
+      : controller(config(max_frame_bytes), toy_units(2)) {
+    controller.start();
+  }
+
+  static ControllerConfig config(std::size_t max_frame_bytes) {
+    ControllerConfig cfg;
+    cfg.address = fresh_address();
+    cfg.max_frame_bytes = max_frame_bytes;
+    return cfg;
+  }
+
+  svc::Fd raw_connect() {
+    return svc::connect_to(controller.address(), /*timeout_ms=*/2000);
+  }
+
+  Controller controller;
+};
+
+/// Sends raw bytes (NOT a framed payload) on a connected socket.
+void send_bytes(int fd, const std::string& bytes) {
+  ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(bytes.size()));
+}
+
+std::string length_prefix(std::uint32_t n) {
+  std::string p(4, '\0');
+  p[0] = static_cast<char>(n >> 24);
+  p[1] = static_cast<char>(n >> 16);
+  p[2] = static_cast<char>(n >> 8);
+  p[3] = static_cast<char>(n);
+  return p;
+}
+
+svc::Response read_response(int fd) {
+  std::string payload;
+  const svc::FrameStatus st =
+      svc::read_frame(fd, payload, svc::kDefaultMaxFrameBytes, 5000);
+  EXPECT_EQ(st, svc::FrameStatus::kFrame) << svc::frame_status_name(st);
+  return svc::response_from_wire(payload);
+}
+
+std::string ping_frame() {
+  svc::Request req;
+  req.op = svc::Op::kPing;
+  return svc::request_to_json(req).dump();
+}
+
+}  // namespace
+
+TEST(FleetControllerTest, OversizedFrameIsAnsweredOnceThenClosed) {
+  WireController wc(/*max_frame_bytes=*/1024);
+  svc::Fd fd = wc.raw_connect();
+  send_bytes(fd.get(), length_prefix(1u << 30));
+  const svc::Response resp = read_response(fd.get());
+  EXPECT_EQ(resp.status, svc::RespStatus::kBadRequest);
+  EXPECT_NE(resp.error.find("cap"), std::string::npos) << resp.error;
+  std::string rest;
+  EXPECT_EQ(svc::read_frame(fd.get(), rest, 1 << 20, 2000),
+            svc::FrameStatus::kClosed);
+  svc::Client client = svc::Client::connect(wc.controller.address().str());
+  EXPECT_EQ(client.ping().status, svc::RespStatus::kOk);
+}
+
+TEST(FleetControllerTest, InvalidJsonGetsBadRequestAndTheNextFrameIsServed) {
+  WireController wc;
+  svc::Fd fd = wc.raw_connect();
+  ASSERT_TRUE(svc::write_frame(fd.get(), "{\"op\": oops"));
+  EXPECT_EQ(read_response(fd.get()).status, svc::RespStatus::kBadRequest);
+  ASSERT_TRUE(svc::write_frame(fd.get(), ping_frame()));
+  const svc::Response pong = read_response(fd.get());
+  EXPECT_EQ(pong.status, svc::RespStatus::kOk) << pong.error;
+}
+
+TEST(FleetControllerTest, TruncatedFrameEndsOnlyThatConnection) {
+  WireController wc;
+  svc::Client bystander =
+      svc::Client::connect(wc.controller.address().str());
+  const i64 id = register_worker(bystander, "bystander");
+  {
+    svc::Fd fd = wc.raw_connect();
+    send_bytes(fd.get(), length_prefix(500) + "vanishing client");
+  }  // disconnect mid-frame
+  // The bystander's connection and a brand-new one both keep working.
+  EXPECT_EQ(unit_poll(bystander, id, /*want=*/1)
+                .at("units")
+                .as_array("units")
+                .size(),
+            1u);
+  svc::Client fresh = svc::Client::connect(wc.controller.address().str());
+  EXPECT_EQ(fresh.ping().status, svc::RespStatus::kOk);
 }
 
 // ---------------------------------------------------------------------------

@@ -34,12 +34,16 @@ MachineParams test_params() {
   return p;
 }
 
+std::shared_ptr<const mach::Model> test_model() {
+  return std::make_shared<mach::IdealOverlapModel>(test_params());
+}
+
 constexpr Time kUs = 1000;  // ns per microsecond
 
 }  // namespace
 
 TEST(ClusterTest, CostConversions) {
-  Cluster c(2, test_params());
+  Cluster c(2, test_model());
   EXPECT_EQ(c.fill_mpi_ns(123), 10 * kUs);
   EXPECT_EQ(c.fill_kernel_ns(123), 20 * kUs);
   EXPECT_EQ(c.half_wire_ns(100), 50 * kUs);
@@ -48,7 +52,7 @@ TEST(ClusterTest, CostConversions) {
 }
 
 TEST(ClusterTest, InvalidRankThrows) {
-  Cluster c(2, test_params());
+  Cluster c(2, test_model());
   EXPECT_THROW(c.node(2), util::Error);
   EXPECT_THROW(c.node(0).isend(0, 1, 8), util::Error);   // self-send
   EXPECT_THROW(c.node(0).isend(9, 1, 8), util::Error);   // bad dest
@@ -56,7 +60,7 @@ TEST(ClusterTest, InvalidRankThrows) {
 }
 
 TEST(ClusterTest, IsendRequiresDmaLevel) {
-  Cluster c(2, test_params(), OverlapLevel::kNone);
+  Cluster c(2, test_model(), OverlapLevel::kNone);
   EXPECT_THROW(c.node(0).isend(1, 1, 8), util::Error);
   EXPECT_NO_THROW(c.node(0).post_blocking(1, 1, 8));
 }
@@ -65,7 +69,7 @@ TEST(TransferTest, NonblockingPipelineTiming) {
   // Message of 100 B: sender channel B3+B4 = 20 + 50 = 70 us, done at 70;
   // +latency 5 -> receiver channel B1+B2 = 50 + 20 = 70; kernel-ready at
   // 145 us.
-  Cluster c(2, test_params());
+  Cluster c(2, test_model());
   Time send_done = -1;
   Time recv_ready = -1;
   auto rh = c.node(1).irecv(0, 7);
@@ -87,7 +91,7 @@ TEST(TransferTest, NonblockingPipelineTiming) {
 TEST(TransferTest, SharedChannelSerializesTwoSends) {
   // Two 100 B sends from the same node on one DMA channel: the second's
   // pipeline starts when the first's B3+B4 finishes.
-  Cluster c(3, test_params(), OverlapLevel::kDma);
+  Cluster c(3, test_model(), OverlapLevel::kDma);
   Time ready1 = -1;
   Time ready2 = -1;
   auto r1 = c.node(1).irecv(0, 1);
@@ -106,7 +110,7 @@ TEST(TransferTest, SharedChannelSerializesTwoSends) {
 TEST(TransferTest, ReceiveChannelSharedWithSendsUnderKDma) {
   // Under kDma one channel carries both directions on a node: an incoming
   // message's B1+B2 must queue behind an outgoing B3+B4 in progress.
-  Cluster c(2, test_params(), OverlapLevel::kDma);
+  Cluster c(2, test_model(), OverlapLevel::kDma);
   Time ready = -1;
   auto r = c.node(1).irecv(0, 1);
   msg::Endpoint::when_ready(r, [&] { ready = c.engine().now(); });
@@ -122,7 +126,7 @@ TEST(TransferTest, ReceiveChannelSharedWithSendsUnderKDma) {
 
 TEST(TransferTest, DuplexChannelsDoNotInterfere) {
   // Same scenario at kDuplexDma: receives use their own channel.
-  Cluster c(2, test_params(), OverlapLevel::kDuplexDma);
+  Cluster c(2, test_model(), OverlapLevel::kDuplexDma);
   Time ready = -1;
   auto r = c.node(1).irecv(0, 1);
   msg::Endpoint::when_ready(r, [&] { ready = c.engine().now(); });
@@ -139,7 +143,7 @@ TEST(TransferTest, SharedBusSerializesAllWireTime) {
   // network they proceed in parallel; on a shared bus the second frame
   // waits for the first (100 us of wire each).
   auto run_net = [](Network net) {
-    Cluster c(4, test_params(), OverlapLevel::kDma, net);
+    Cluster c(4, test_model(), OverlapLevel::kDma, net);
     Time last_ready = -1;
     auto r1 = c.node(1).irecv(0, 1);
     auto r2 = c.node(3).irecv(2, 2);
@@ -161,7 +165,7 @@ TEST(TransferTest, SharedBusSerializesAllWireTime) {
 }
 
 TEST(MatchingTest, ArrivalBeforePostMatchesImmediately) {
-  Cluster c(2, test_params());
+  Cluster c(2, test_model());
   bool ready_at_post = false;
   c.engine().at(0, [&] { c.node(0).isend(1, 42, 8); });
   // Post the receive long after the message landed.
@@ -174,7 +178,7 @@ TEST(MatchingTest, ArrivalBeforePostMatchesImmediately) {
 }
 
 TEST(MatchingTest, TagsKeepMessagesApart) {
-  Cluster c(2, test_params());
+  Cluster c(2, test_model());
   auto ha = c.node(1).irecv(0, 1);
   auto hb = c.node(1).irecv(0, 2);
   bool a_ready_first = false;
@@ -192,7 +196,7 @@ TEST(MatchingTest, TagsKeepMessagesApart) {
 }
 
 TEST(MatchingTest, SameTagFifoWithinKey) {
-  Cluster c(2, test_params());
+  Cluster c(2, test_model());
   // Payloads distinguish the two messages.
   auto p1 = std::make_shared<std::vector<double>>(std::vector<double>{1.0});
   auto p2 = std::make_shared<std::vector<double>>(std::vector<double>{2.0});
@@ -211,7 +215,7 @@ TEST(MatchingTest, SameTagFifoWithinKey) {
 TEST(BlockingPathTest, DeliversAfterLatencyOnly) {
   // The blocking path models the CPU doing all the work: the message
   // itself only carries the propagation latency.
-  Cluster c(2, test_params(), OverlapLevel::kNone);
+  Cluster c(2, test_model(), OverlapLevel::kNone);
   Time ready = -1;
   auto h = c.node(1).irecv(0, 3);
   msg::Endpoint::when_ready(h, [&] { ready = c.engine().now(); });
@@ -222,7 +226,7 @@ TEST(BlockingPathTest, DeliversAfterLatencyOnly) {
 
 TEST(CpuTest, RecordsPhaseAndAdvancesClock) {
   trace::Timeline tl;
-  Cluster c(1, test_params(), OverlapLevel::kDma, Network::kSwitched, &tl);
+  Cluster c(1, test_model(), OverlapLevel::kDma, Network::kSwitched, &tl);
   Time after = -1;
   c.engine().at(0, [&] {
     c.node(0).cpu(12 * kUs, trace::Phase::kCompute,
@@ -238,7 +242,7 @@ TEST(CpuTest, RecordsPhaseAndAdvancesClock) {
 
 TEST(TimelineIntegrationTest, TransferRecordsDmaAndWirePhases) {
   trace::Timeline tl;
-  Cluster c(2, test_params(), OverlapLevel::kDma, Network::kSwitched, &tl);
+  Cluster c(2, test_model(), OverlapLevel::kDma, Network::kSwitched, &tl);
   c.node(1).irecv(0, 1);
   c.engine().at(0, [&] { c.node(0).isend(1, 1, 100); });
   c.run();
@@ -248,7 +252,7 @@ TEST(TimelineIntegrationTest, TransferRecordsDmaAndWirePhases) {
 }
 
 TEST(TrafficTest, MatrixAccumulatesPerPair) {
-  Cluster c(3, test_params());
+  Cluster c(3, test_model());
   c.node(1).irecv(0, 1);
   c.node(2).irecv(0, 2);
   c.node(2).irecv(1, 3);
@@ -266,7 +270,7 @@ TEST(TrafficTest, MatrixAccumulatesPerPair) {
 }
 
 TEST(TrafficTest, PeakInflightTracksConcurrentMessages) {
-  Cluster c(3, test_params());
+  Cluster c(3, test_model());
   c.node(1).irecv(0, 1);
   c.node(2).irecv(0, 2);
   c.engine().at(0, [&] {
@@ -279,7 +283,7 @@ TEST(TrafficTest, PeakInflightTracksConcurrentMessages) {
 
 TEST(DeterminismTest, IdenticalRunsProduceIdenticalTimes) {
   auto run = [] {
-    Cluster c(4, test_params());
+    Cluster c(4, test_model());
     for (int r = 1; r < 4; ++r) c.node(r).irecv(0, r);
     c.engine().at(0, [&] {
       for (int r = 1; r < 4; ++r) c.node(0).isend(r, r, 64 * r);

@@ -28,6 +28,10 @@ MachineParams round_params() {
   return p;
 }
 
+std::shared_ptr<const mach::Model> round_model() {
+  return std::make_shared<mach::IdealOverlapModel>(round_params());
+}
+
 constexpr Time kUs = 1000;
 
 }  // namespace
@@ -38,7 +42,7 @@ TEST(RendezvousTest, PostedReceiveGrantsAfterOneRoundTrip) {
   // latency; receiver leg B1+B2 = 70 us -> kernel-ready at 155 us
   // (eager would be 145 us: one extra round trip minus the overlap of...
   // exactly 2*latency later on the send start).
-  Cluster c(2, round_params(), mach::OverlapLevel::kDma,
+  Cluster c(2, round_model(), mach::OverlapLevel::kDma,
             msg::Network::kSwitched, nullptr, Protocol::kRendezvous);
   Time ready = -1;
   auto h = c.node(1).irecv(0, 1);
@@ -51,7 +55,7 @@ TEST(RendezvousTest, PostedReceiveGrantsAfterOneRoundTrip) {
 TEST(RendezvousTest, UnpostedReceiveParksTheSender) {
   // RTS arrives at 5 us but the recv is posted at t = 100 us: CTS leaves
   // then, pipeline starts at 105 us.
-  Cluster c(2, round_params(), mach::OverlapLevel::kDma,
+  Cluster c(2, round_model(), mach::OverlapLevel::kDma,
             msg::Network::kSwitched, nullptr, Protocol::kRendezvous);
   Time ready = -1;
   c.engine().at(0, [&] { c.node(0).isend(1, 1, 100); });
@@ -64,7 +68,7 @@ TEST(RendezvousTest, UnpostedReceiveParksTheSender) {
 }
 
 TEST(RendezvousTest, SendDoneWaitsForHandshake) {
-  Cluster c(2, round_params(), mach::OverlapLevel::kDma,
+  Cluster c(2, round_model(), mach::OverlapLevel::kDma,
             msg::Network::kSwitched, nullptr, Protocol::kRendezvous);
   Time done = -1;
   c.node(1).irecv(0, 1);
@@ -77,7 +81,7 @@ TEST(RendezvousTest, SendDoneWaitsForHandshake) {
 }
 
 TEST(RendezvousTest, TwoSendersFifoPerKey) {
-  Cluster c(2, round_params(), mach::OverlapLevel::kDma,
+  Cluster c(2, round_model(), mach::OverlapLevel::kDma,
             msg::Network::kSwitched, nullptr, Protocol::kRendezvous);
   auto p1 = std::make_shared<std::vector<double>>(std::vector<double>{1.0});
   auto p2 = std::make_shared<std::vector<double>>(std::vector<double>{2.0});

@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -234,6 +235,89 @@ TEST(SvcFramingTest, ReadDeadlineExpires) {
             svc::FrameStatus::kTimeout);
   EXPECT_GE(std::chrono::steady_clock::now() - t0,
             std::chrono::milliseconds(40));
+}
+
+// --------------------------------------------------------------- Listener
+
+namespace {
+
+/// A Listener that echoes every frame back, on a fresh Unix socket.
+struct EchoListener {
+  EchoListener()
+      : listener(svc::kDefaultMaxFrameBytes,
+                 [](const std::shared_ptr<svc::Listener::Conn>& conn,
+                    svc::FrameStatus, const std::string& payload) {
+                   return conn->send(payload);
+                 }) {
+    static int counter = 0;
+    listener.start("unix:" + ::testing::TempDir() + "svc_listener_" +
+                   std::to_string(::getpid()) + "_" +
+                   std::to_string(counter++) + ".sock");
+  }
+
+  svc::Fd connect() { return svc::connect_to(listener.address(), 2000); }
+
+  svc::Listener listener;
+};
+
+/// Polls `done` every millisecond for up to two seconds.
+template <typename Pred>
+bool wait_until(Pred done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+}  // namespace
+
+TEST(SvcListenerTest, FinishedReadersAreReapedAcrossConnectCloseCycles) {
+  EchoListener el;
+  for (int i = 0; i < 50; ++i) {
+    {
+      svc::Fd fd = el.connect();
+      ASSERT_TRUE(svc::write_frame(fd.get(), "ping"));
+      std::string echo;
+      ASSERT_EQ(svc::read_frame(fd.get(), echo, 1 << 20, 2000),
+                svc::FrameStatus::kFrame);
+      EXPECT_EQ(echo, "ping");
+    }
+    ASSERT_TRUE(wait_until([&] { return el.listener.live() == 0; }))
+        << "reader of connection " << i << " never finished";
+  }
+  // Each accept reaped the previous cycle's reader, so only the last one
+  // is still held; without reaping there would be 50.
+  EXPECT_EQ(el.listener.readers(), 1u);
+  el.listener.close();
+  EXPECT_EQ(el.listener.readers(), 0u);
+}
+
+TEST(SvcListenerTest, CloseJoinsReadersWhileAnIdleClientIsConnected) {
+  EchoListener el;
+  svc::Fd idle = el.connect();
+  ASSERT_TRUE(wait_until([&] { return el.listener.live() == 1; }));
+  el.listener.close();  // must not wait for the idle client to speak
+  EXPECT_EQ(el.listener.live(), 0u);
+  EXPECT_EQ(el.listener.readers(), 0u);
+  // The reader let go of the connection, so the client sees it closed.
+  std::string got;
+  EXPECT_EQ(svc::read_frame(idle.get(), got, 1 << 20, 2000),
+            svc::FrameStatus::kClosed);
+}
+
+TEST(SvcListenerTest, AcceptedCountsEveryConnection) {
+  EchoListener el;
+  EXPECT_EQ(el.listener.accepted(), 0u);
+  std::vector<svc::Fd> clients;
+  for (int i = 0; i < 5; ++i) clients.push_back(el.connect());
+  ASSERT_TRUE(wait_until([&] { return el.listener.live() == 5; }));
+  EXPECT_EQ(el.listener.accepted(), 5u);
+  clients.clear();
+  ASSERT_TRUE(wait_until([&] { return el.listener.live() == 0; }));
+  EXPECT_EQ(el.listener.accepted(), 5u);
 }
 
 // ----------------------------------------------------------- BoundedQueue
