@@ -23,11 +23,11 @@ int main() {
     exec::RunOptions eager;
     exec::RunOptions rdv;
     rdv.comm.protocol = msg::Protocol::kRendezvous;
-    const double t_eager = exec::run_plan(p.nest, over, p.machine,
+    const double t_eager = exec::run_plan(p.nest, over, p.cost_model(),
                                           eager).seconds;
-    const double t_rdv = exec::run_plan(p.nest, over, p.machine,
+    const double t_rdv = exec::run_plan(p.nest, over, p.cost_model(),
                                         rdv).seconds;
-    const double t_non = exec::run_plan(p.nest, non, p.machine).seconds;
+    const double t_non = exec::run_plan(p.nest, non, p.cost_model()).seconds;
     table.add_row({std::to_string(V), util::fmt_seconds(t_eager),
                    util::fmt_seconds(t_rdv),
                    util::fmt_fixed(100.0 * (t_rdv - t_eager) / t_eager, 1) +

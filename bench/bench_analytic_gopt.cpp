@@ -42,7 +42,7 @@ int main() {
     for (const Row& r : rows) {
       const double t_sim_at_analytic =
           exec::run_plan(s.problem.nest, s.problem.plan(r.opt.V, r.kind),
-                         s.problem.machine)
+                         s.problem.cost_model())
               .seconds;
       const core::Autotune swept = core::autotune_tile_height(
           s.problem, r.kind, 16, s.problem.max_tile_height() / 4);

@@ -32,14 +32,15 @@ int main() {
     const exec::TilePlan nonblocking =
         r.problem.plan(r.v_paper, sched::ScheduleKind::kOverlap);
     const double t_b =
-        exec::run_plan(r.problem.nest, blocking, r.problem.machine).seconds;
+        exec::run_plan(r.problem.nest, blocking, r.problem.cost_model())
+            .seconds;
     const double t_nb =
-        exec::run_plan(r.problem.nest, nonblocking, r.problem.machine)
+        exec::run_plan(r.problem.nest, nonblocking, r.problem.cost_model())
             .seconds;
     exec::RunOptions bus;
     bus.comm.network = msg::Network::kSharedBus;
     const double t_bus =
-        exec::run_plan(r.problem.nest, nonblocking, r.problem.machine, bus)
+        exec::run_plan(r.problem.nest, nonblocking, r.problem.cost_model(), bus)
             .seconds;
     table.add_row({r.name, std::to_string(r.v_paper),
                    util::fmt_seconds(t_b), util::fmt_seconds(t_nb),

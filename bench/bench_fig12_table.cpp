@@ -45,8 +45,8 @@ int main() {
         shape.send_bytes.empty() ? 0 : shape.send_bytes.front();
     const double t_fill = p.machine.fill_mpi_buffer.at(msg_bytes);
     const i64 P = plan.schedule_length();
-    const double theoretical = core::predict_overlap_cpu_bound(plan,
-                                                               p.machine);
+    const double theoretical =
+        core::predict_overlap_cpu_bound(plan, *p.cost_model());
     const double diff = 100.0 * std::abs(theoretical - over.t_opt) /
                         over.t_opt;
     const double improvement = 100.0 * (non.t_opt - over.t_opt) / non.t_opt;

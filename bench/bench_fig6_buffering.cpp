@@ -25,8 +25,8 @@ int main() {
   for (i64 V : {64, 223, 444, 1024}) {
     const exec::TilePlan over = p.plan(V, sched::ScheduleKind::kOverlap);
     const exec::TilePlan non = p.plan(V, sched::ScheduleKind::kNonOverlap);
-    const exec::RunResult r_over = exec::run_plan(p.nest, over, p.machine);
-    const exec::RunResult r_non = exec::run_plan(p.nest, non, p.machine);
+    const exec::RunResult r_over = exec::run_plan(p.nest, over, p.cost_model());
+    const exec::RunResult r_non = exec::run_plan(p.nest, non, p.cost_model());
     const i64 ranks = over.mapping.num_ranks();
     const i64 tile_bytes = over.space.tiling().tile_volume() *
                            p.machine.bytes_per_element;

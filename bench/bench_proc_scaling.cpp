@@ -16,7 +16,8 @@ int main() {
   using util::i64;
 
   const loop::LoopNest nest = loop::paper_space_i();
-  const mach::MachineParams machine = mach::MachineParams::paper_cluster();
+  const auto model = std::make_shared<mach::IdealOverlapModel>(
+      mach::MachineParams::paper_cluster());
   const i64 V = 256;
 
   std::cout << "== Processor scaling — 16 x 16 x 16384 space, V = " << V
@@ -35,8 +36,8 @@ int main() {
     const auto non = exec::make_plan_explicit(
         nest, tile::RectTiling(sides), sched::ScheduleKind::kNonOverlap, 2,
         Vec{g, g, 1});
-    const double t_over = exec::run_plan(nest, over, machine).seconds;
-    const double t_non = exec::run_plan(nest, non, machine).seconds;
+    const double t_over = exec::run_plan(nest, over, model).seconds;
+    const double t_non = exec::run_plan(nest, non, model).seconds;
     if (g == 1) t1_overlap = t_over;
     const double speedup = t1_overlap / t_over;
     const double eff = speedup / static_cast<double>(g * g);

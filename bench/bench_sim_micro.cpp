@@ -75,7 +75,7 @@ static void BM_TimedRunOverlap(benchmark::State& state) {
   const core::Problem p = core::paper_problem_i();
   const exec::TilePlan plan = p.plan(V, sched::ScheduleKind::kOverlap);
   for (auto _ : state) {
-    const exec::RunResult r = exec::run_plan(p.nest, plan, p.machine);
+    const exec::RunResult r = exec::run_plan(p.nest, plan, p.cost_model());
     benchmark::DoNotOptimize(r.completion);
     state.counters["sim_events"] = static_cast<double>(r.events);
     state.counters["sim_seconds"] = r.seconds;
@@ -89,7 +89,7 @@ static void BM_TimedRunNonOverlap(benchmark::State& state) {
   const core::Problem p = core::paper_problem_i();
   const exec::TilePlan plan = p.plan(V, sched::ScheduleKind::kNonOverlap);
   for (auto _ : state) {
-    const exec::RunResult r = exec::run_plan(p.nest, plan, p.machine);
+    const exec::RunResult r = exec::run_plan(p.nest, plan, p.cost_model());
     benchmark::DoNotOptimize(r.completion);
   }
 }
@@ -101,11 +101,12 @@ static void BM_FunctionalRun(benchmark::State& state) {
   const exec::TilePlan plan = exec::make_plan(
       nest, tile::RectTiling(lat::Vec{4, 4, 8}),
       sched::ScheduleKind::kOverlap);
-  const mach::MachineParams params = mach::MachineParams::paper_cluster();
+  const auto model = std::make_shared<mach::IdealOverlapModel>(
+      mach::MachineParams::paper_cluster());
   exec::RunOptions opts;
   opts.functional = true;
   for (auto _ : state) {
-    const exec::RunResult r = exec::run_plan(nest, plan, params, opts);
+    const exec::RunResult r = exec::run_plan(nest, plan, model, opts);
     benchmark::DoNotOptimize(r.field->values.data());
   }
   state.SetItemsProcessed(state.iterations() * nest.iterations());

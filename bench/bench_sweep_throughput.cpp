@@ -239,7 +239,7 @@ void write_bench_report(const std::string& path,
     exec::RunOptions ro;
     ro.sink = &fan;
     const core::TilePlan plan = problem.plan(V, kind);
-    exec::run_plan(problem.nest, plan, problem.machine, ro);
+    exec::run_plan(problem.nest, plan, problem.cost_model(), ro);
     return rs.report();
   };
   os << "\"overlap\":";

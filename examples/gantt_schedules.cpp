@@ -25,7 +25,8 @@ int main() {
                             std::make_shared<loop::SumKernel>());
   const tile::RectTiling tiling(Vec{24, 8});
 
-  const mach::MachineParams m = mach::MachineParams::idealized_example();
+  const auto model = std::make_shared<mach::IdealOverlapModel>(
+      mach::MachineParams::idealized_example());
 
   for (auto kind : {sched::ScheduleKind::kNonOverlap,
                     sched::ScheduleKind::kOverlap}) {
@@ -36,7 +37,7 @@ int main() {
     trace::Timeline timeline;
     exec::RunOptions opts;
     opts.sink = &timeline;
-    const exec::RunResult r = exec::run_plan(nest, plan, m, opts);
+    const exec::RunResult r = exec::run_plan(nest, plan, model, opts);
 
     std::cout << "== " << (overlap ? "Fig. 2 — overlapping (pipelined)"
                                    : "Fig. 1 — non-overlapping")

@@ -88,7 +88,7 @@ int main() {
     exec::RunOptions opts;
     opts.sink = &report;
     const exec::RunResult r =
-        exec::run_plan(nest, plan, problem.machine, opts);
+        exec::run_plan(nest, plan, problem.cost_model(), opts);
     table.add_row({kind == sched::ScheduleKind::kOverlap
                        ? "overlapping"
                        : "non-overlapping",
@@ -107,7 +107,7 @@ int main() {
   exec::RunOptions fopts;
   fopts.functional = true;
   const exec::RunResult run =
-      exec::run_plan(nest, plan, problem.machine, fopts);
+      exec::run_plan(nest, plan, problem.cost_model(), fopts);
   double first_slice = 0.0;
   double last_slice = 0.0;
   double peak_last = 0.0;

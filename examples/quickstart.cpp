@@ -36,14 +36,14 @@ int main() {
 
     // Timed run for the completion time.
     const exec::RunResult timed =
-        exec::run_plan(problem.nest, plan, problem.machine);
+        exec::run_plan(problem.nest, plan, problem.cost_model());
 
     std::cout << (overlap ? "overlapping   " : "non-overlapping")
               << "  P(g) = " << plan.schedule_length()
               << "  simulated = " << util::fmt_seconds(timed.seconds)
               << "  predicted = "
               << util::fmt_seconds(
-                     core::predict_completion(plan, problem.machine))
+                     core::predict_completion(plan, *problem.cost_model()))
               << "  messages = " << timed.messages
               << "  max |err| vs sequential = " << err << "\n";
   }

@@ -38,25 +38,6 @@ mach::StepShape steady_step_shape(const TilePlan& plan,
   return shape;
 }
 
-double predict_completion(const TilePlan& plan,
-                          const mach::MachineParams& params,
-                          mach::OverlapLevel level) {
-  const mach::StepShape shape = steady_step_shape(plan, params);
-  const i64 P = plan.schedule_length();
-  if (plan.kind == sched::ScheduleKind::kNonOverlap)
-    return mach::total_nonoverlap(params, shape, P);
-  return mach::total_overlap(params, shape, P, level);
-}
-
-double predict_overlap_cpu_bound(const TilePlan& plan,
-                                 const mach::MachineParams& params) {
-  TILO_REQUIRE(plan.kind == sched::ScheduleKind::kOverlap,
-               "eq. (5) applies to overlapping plans");
-  const mach::StepShape shape = steady_step_shape(plan, params);
-  return mach::total_overlap_cpu_bound(params, shape,
-                                       plan.schedule_length());
-}
-
 double predict_completion(const TilePlan& plan, const mach::Model& model,
                           mach::OverlapLevel level) {
   const mach::StepShape shape = steady_step_shape(plan, model.params());

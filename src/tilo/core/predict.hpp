@@ -19,27 +19,19 @@ using util::i64;
 mach::StepShape steady_step_shape(const TilePlan& plan,
                                   const mach::MachineParams& params);
 
-/// Completion-time prediction matching the plan's schedule kind:
+/// Completion-time prediction matching the plan's schedule kind, with
+/// every stage cost priced by `model`:
 /// eq. (3) P(g)·(T_comp + T_comm) for kNonOverlap,
 /// eq. (4) P(g)·max(A-side, B-side) for kOverlap.
-double predict_completion(const TilePlan& plan,
-                          const mach::MachineParams& params,
-                          mach::OverlapLevel level = mach::OverlapLevel::kDma);
-
-/// Equation (5): the CPU-bound overlap bound P(g)·(A1+A2+A3) — the formula
-/// the paper instantiates with measured constants in Section 5.
-double predict_overlap_cpu_bound(const TilePlan& plan,
-                                 const mach::MachineParams& params);
-
-/// Model-aware predictions: the same plan geometry costed by an arbitrary
-/// mach::Model.  With an IdealOverlapModel these reproduce the
-/// MachineParams overloads bit-for-bit (the model's step() replicates
-/// step_cost()'s arithmetic exactly).
+/// Under an IdealOverlapModel this is bit-identical to
+/// mach::total_nonoverlap / mach::total_overlap over the model's params.
 double predict_completion(const TilePlan& plan, const mach::Model& model,
                           mach::OverlapLevel level = mach::OverlapLevel::kDma);
 
-/// Eq. (5) under a model: the pure CPU side (interference extras are the
-/// model's own business and excluded from the paper's bound).
+/// Equation (5): the CPU-bound overlap bound P(g)·(A1+A2+A3) — the formula
+/// the paper instantiates with measured constants in Section 5.  Only the
+/// pure CPU side counts (interference extras are the model's own business
+/// and excluded from the paper's bound).
 double predict_overlap_cpu_bound(const TilePlan& plan,
                                  const mach::Model& model);
 

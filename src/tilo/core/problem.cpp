@@ -32,6 +32,10 @@ lat::Vec Problem::tile_sides(i64 V) const {
   return sides;
 }
 
+std::shared_ptr<const mach::Model> Problem::cost_model() const {
+  return mach::model_or_ideal(model, machine);
+}
+
 TilePlan Problem::plan(i64 V, ScheduleKind kind) const {
   return exec::make_plan_explicit(nest, tile::RectTiling(tile_sides(V)),
                                   kind, mapped_dim(), procs);

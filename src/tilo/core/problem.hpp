@@ -25,12 +25,13 @@ struct Problem {
   /// ignored (forced to 1).  E.g. {4, 4, 1} for the paper's 16 processors.
   lat::Vec procs;
   /// Optional machine model refining `machine` (imperfect overlap,
-  /// heterogeneous links, offload levels — see mach::Model).  nullptr is
-  /// the paper's ideal-overlap model over `machine` and keeps every
-  /// historical code path (and its bytes) untouched; an explicit
-  /// IdealOverlapModel is required to produce the same results
-  /// byte-for-byte (pinned by model_regression_test).
+  /// heterogeneous links, offload levels — see mach::Model).  nullptr
+  /// stands for the paper's ideal-overlap model over `machine`.
   std::shared_ptr<const mach::Model> model;
+
+  /// The model every cost of this problem is priced by: `model`, or the
+  /// ideal-overlap model over `machine` when `model` is null.
+  std::shared_ptr<const mach::Model> cost_model() const;
 
   /// The paper's mapping rule applied to the original domain: the dimension
   /// with the largest extent hosts the tile columns.

@@ -46,8 +46,6 @@ struct SweepOptions {
   /// Communication model, shared with exec::RunOptions so sweeps and
   /// single runs cannot drift apart.
   exec::CommConfig comm;
-  bool run_nonoverlap = true;
-  bool run_overlap = true;
   /// Worker threads for the sweep / autotune fan-out: 1 = serial (default),
   /// 0 = all hardware threads, n = exactly n.  Results are byte-identical
   /// for every value.
@@ -62,7 +60,8 @@ struct SweepOptions {
   /// obs::JsonlSink, obs::ReportSink are; trace::Timeline is not).
   obs::Sink* sink = nullptr;
   /// sweep_select only: escape hatch — simulate every height for both
-  /// schedules instead of just the analytic contending region.
+  /// schedules instead of just the analytic contending region.  Ranks
+  /// nothing, so it runs on any nest (even one without dependences).
   bool exhaustive = false;
   /// sweep_select only: contending-region slack factor (>= 1).  Tighter
   /// slack simulates fewer points but risks pruning the true optimum;
@@ -70,7 +69,8 @@ struct SweepOptions {
   double prune_slack = kDefaultPruneSlack;
 };
 
-/// Runs both schedules (timed mode) for each V in `heights`.
+/// Runs both schedules (timed mode) for each V in `heights`: the points of
+/// the exhaustive sweep_select.
 std::vector<SweepPoint> sweep_tile_height(const Problem& problem,
                                           const std::vector<i64>& heights,
                                           const SweepOptions& opts = {});
@@ -97,9 +97,10 @@ struct SweepSelection {
   std::vector<SweepPoint> points;
   std::vector<std::uint8_t> simulated_overlap;     ///< per-point: timed run?
   std::vector<std::uint8_t> simulated_nonoverlap;
-  SweepVerdict best_overlap;     ///< zero when run_overlap is off
-  SweepVerdict best_nonoverlap;  ///< zero when run_nonoverlap is off
-  i64 V_analytic_overlap = 0;      ///< the model's own argmin per kind
+  SweepVerdict best_overlap;
+  SweepVerdict best_nonoverlap;
+  /// The model's own argmin per kind; 0 in exhaustive mode (no ranking).
+  i64 V_analytic_overlap = 0;
   i64 V_analytic_nonoverlap = 0;
   i64 simulated_runs = 0;  ///< timed simulations executed
   i64 total_runs = 0;      ///< what an exhaustive sweep would execute
@@ -115,7 +116,7 @@ SweepSelection sweep_select(const Problem& problem,
                             const SweepOptions& opts = {});
 
 /// Runs the pruned and the exhaustive sweep and requires bit-identical
-/// Recommendations for every enabled kind; throws util::Error naming the
+/// recommendations for both kinds; throws util::Error naming the
 /// kind and heights on any divergence (e.g. an over-tight prune_slack).
 /// Returns the pruned selection on success.
 SweepSelection verify_pruned_selection(const Problem& problem,
@@ -123,7 +124,8 @@ SweepSelection verify_pruned_selection(const Problem& problem,
                                        const SweepOptions& opts = {});
 
 /// A geometric grid of candidate heights in [lo, hi] (dividing nothing:
-/// heights need not divide the extent; boundary tiles are partial).
+/// heights need not divide the extent; boundary tiles are partial) —
+/// mach::geometric_grid.
 std::vector<i64> height_grid(i64 lo, i64 hi, double ratio = 1.3);
 
 /// Result of autotuning one schedule.
@@ -134,8 +136,9 @@ struct Autotune {
 
 /// Finds the simulated-optimal tile height for the given schedule kind via
 /// a geometric sweep plus local refinement — the paper's "experimentally
-/// tune tile size g" procedure.  Probe batches fan out over opts.threads;
-/// the result is identical to the serial mach::geometric_sweep search.
+/// tune tile size g" procedure: mach::geometric_sweep with each probe batch
+/// fanned out over opts.threads (the result is identical for every thread
+/// count).
 Autotune autotune_tile_height(const Problem& problem, ScheduleKind kind,
                               i64 lo, i64 hi, const SweepOptions& opts = {});
 

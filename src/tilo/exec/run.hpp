@@ -112,10 +112,12 @@ struct RunResult {
 
 class RunWorkspace;
 
-/// Runs the plan on a simulated cluster with the given machine parameters.
-/// The nest must be the one the plan's tiled space was built from.
-/// Throws util::Error if any rank program stalls (e.g. a lost message or a
-/// scheduling deadlock) instead of silently returning partial results.
+/// Runs the plan on a simulated cluster whose every stage cost (and any
+/// interference stall) comes from `model` — wrap bare MachineParams in a
+/// mach::IdealOverlapModel for the paper's machine.  The nest must be the
+/// one the plan's tiled space was built from.  Throws util::Error if any
+/// rank program stalls (e.g. a lost message or a scheduling deadlock)
+/// instead of silently returning partial results.
 ///
 /// `workspace` (optional) carries reusable state across runs: the per-rank
 /// state vector, the per-tile communication-geometry table (keyed by tile
@@ -125,15 +127,6 @@ class RunWorkspace;
 /// non-overlap schedules at one tile height V) amortizes tile enumeration
 /// and region computation, and a warm workspace moves messages without
 /// heap allocation; results are byte-identical with or without one.
-RunResult run_plan(const loop::LoopNest& nest, const TilePlan& plan,
-                   const mach::MachineParams& params,
-                   const RunOptions& opts = {},
-                   RunWorkspace* workspace = nullptr);
-
-/// Model-aware runs: every stage cost (and any interference stall) comes
-/// from `model`.  With an IdealOverlapModel the event trace — and thus
-/// every result field — is identical to the MachineParams overload, which
-/// in fact forwards here through the deprecation shim.
 RunResult run_plan(const loop::LoopNest& nest, const TilePlan& plan,
                    std::shared_ptr<const mach::Model> model,
                    const RunOptions& opts = {},

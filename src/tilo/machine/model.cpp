@@ -143,6 +143,12 @@ double OffloadModel::step_seconds(const StepShape& shape,
 
 // --- registry ------------------------------------------------------------
 
+std::shared_ptr<const Model> model_or_ideal(std::shared_ptr<const Model> model,
+                                            const MachineParams& params) {
+  if (model) return model;
+  return std::make_shared<IdealOverlapModel>(params);
+}
+
 std::shared_ptr<const Model> make_model(const std::string& name,
                                         const MachineParams& params) {
   if (name == "ideal") return std::make_shared<IdealOverlapModel>(params);

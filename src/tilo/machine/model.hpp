@@ -242,4 +242,9 @@ std::shared_ptr<const Model> make_model(const std::string& name,
 /// The names make_model accepts, for diagnostics.
 std::vector<std::string> model_names();
 
+/// The model that prices every cost: `model`, or the paper's ideal-overlap
+/// model over `params` when `model` is null.
+std::shared_ptr<const Model> model_or_ideal(std::shared_ptr<const Model> model,
+                                            const MachineParams& params);
+
 }  // namespace tilo::mach

@@ -67,9 +67,13 @@ std::vector<i64> geometric_grid(i64 lo, i64 hi, double ratio) {
   return grid;
 }
 
+namespace {
+
+/// The linear refinement window around the best coarse grid point:
+/// [neighbor below, neighbor above] with a stride that caps the number of
+/// probes at ~512.
 std::vector<i64> refinement_candidates(const std::vector<i64>& grid,
                                        std::size_t best_idx) {
-  TILO_REQUIRE(best_idx < grid.size(), "refinement_candidates: bad index");
   const i64 ref_lo = best_idx > 0 ? grid[best_idx - 1] : grid[best_idx];
   const i64 ref_hi =
       best_idx + 1 < grid.size() ? grid[best_idx + 1] : grid[best_idx];
@@ -82,32 +86,49 @@ std::vector<i64> refinement_candidates(const std::vector<i64>& grid,
   return cand;
 }
 
-IntMinimum geometric_sweep(const std::function<double(i64)>& f, i64 lo,
-                           i64 hi, double ratio) {
+/// First strict minimum of `values` (ties keep the earliest index).
+std::size_t argmin(const std::vector<double>& values) {
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < values.size(); ++i)
+    if (values[i] < values[best]) best = i;
+  return best;
+}
+
+}  // namespace
+
+IntMinimum geometric_sweep(const BatchObjective& evaluate, i64 lo, i64 hi,
+                           double ratio) {
   TILO_REQUIRE(lo >= 1 && lo <= hi, "geometric_sweep: bad range");
 
   // Coarse pass on a multiplicative grid.
   const std::vector<i64> grid = geometric_grid(lo, hi, ratio);
-
-  std::size_t best_idx = 0;
-  double best_val = f(grid[0]);
-  for (std::size_t i = 1; i < grid.size(); ++i) {
-    const double v = f(grid[i]);
-    if (v < best_val) {
-      best_val = v;
-      best_idx = i;
-    }
-  }
+  const std::vector<double> coarse = evaluate(grid);
+  TILO_REQUIRE(coarse.size() == grid.size(),
+               "geometric_sweep: objective returned ", coarse.size(),
+               " values for ", grid.size(), " candidates");
+  const std::size_t best = argmin(coarse);
 
   // Linear refinement between the neighbors of the best coarse point.
-  const std::vector<i64> cand = refinement_candidates(grid, best_idx);
-  IntMinimum fine{cand[0], f(cand[0])};
-  for (std::size_t i = 1; i < cand.size(); ++i) {
-    const double v = f(cand[i]);
-    if (v < fine.value) fine = IntMinimum{cand[i], v};
-  }
-  if (fine.value < best_val) return fine;
-  return IntMinimum{grid[best_idx], best_val};
+  const std::vector<i64> cand = refinement_candidates(grid, best);
+  const std::vector<double> fine = evaluate(cand);
+  TILO_REQUIRE(fine.size() == cand.size(),
+               "geometric_sweep: objective returned ", fine.size(),
+               " values for ", cand.size(), " candidates");
+  const std::size_t fine_best = argmin(fine);
+  if (fine[fine_best] < coarse[best])
+    return IntMinimum{cand[fine_best], fine[fine_best]};
+  return IntMinimum{grid[best], coarse[best]};
+}
+
+IntMinimum geometric_sweep(const std::function<double(i64)>& f, i64 lo,
+                           i64 hi, double ratio) {
+  const BatchObjective each = [&f](const std::vector<i64>& xs) {
+    std::vector<double> values;
+    values.reserve(xs.size());
+    for (const i64 x : xs) values.push_back(f(x));
+    return values;
+  };
+  return geometric_sweep(each, lo, hi, ratio);
 }
 
 }  // namespace tilo::mach

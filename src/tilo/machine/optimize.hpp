@@ -35,23 +35,27 @@ struct IntMinimum {
 IntMinimum integer_sweep(const std::function<double(i64)>& f, i64 lo, i64 hi,
                          i64 step = 1);
 
-/// The multiplicative candidate grid geometric_sweep evaluates: start at lo,
-/// multiply by ratio, round down, dedup to strictly increasing, always end
-/// at hi.  Exposed so callers that batch-evaluate points (e.g. a parallel
-/// autotuner) search exactly the same candidates as the serial sweep.
+/// The multiplicative candidate grid geometric_sweep's coarse pass
+/// evaluates: start at lo (>= 1), multiply by ratio, round down, dedup to
+/// strictly increasing, always end at hi.
 std::vector<i64> geometric_grid(i64 lo, i64 hi, double ratio = 1.25);
 
+/// Evaluates a whole batch of candidates, one value per candidate in order.
+using BatchObjective =
+    std::function<std::vector<double>(const std::vector<i64>&)>;
+
 /// Geometric sweep: evaluates f on geometric_grid(lo, hi, ratio), then
-/// refines linearly around the best coarse point.  Much cheaper than a full
-/// sweep when f(x) is smooth, as the completion-time curves are.
+/// refines linearly around the best coarse point (the neighbors' span, at
+/// most ~512 probes).  Much cheaper than a full sweep when f(x) is smooth,
+/// as the completion-time curves are.
 IntMinimum geometric_sweep(const std::function<double(i64)>& f, i64 lo,
                            i64 hi, double ratio = 1.25);
 
-/// The linear refinement window geometric_sweep uses around the best coarse
-/// grid point: [neighbor below, neighbor above] with a stride that caps the
-/// number of probes at ~512.  Exposed for the same reason as
-/// geometric_grid.
-std::vector<i64> refinement_candidates(const std::vector<i64>& grid,
-                                       std::size_t best_idx);
+/// The same search with batched probes: `evaluate` receives the coarse
+/// grid, then the refinement window, so a caller can fan each batch out
+/// (e.g. a parallel autotuner).  Returns what the scalar form returns for
+/// the same values.
+IntMinimum geometric_sweep(const BatchObjective& evaluate, i64 lo, i64 hi,
+                           double ratio = 1.25);
 
 }  // namespace tilo::mach

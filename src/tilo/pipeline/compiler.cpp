@@ -70,9 +70,7 @@ void Compiler::run_stages(ArtifactStore& store, const CompileOptions& opts,
     // DAG workloads skip Tiling/Scheduling/Lowering: the task graph is its
     // own dependence structure and the event engine schedules it directly.
     const std::shared_ptr<const mach::Model> model =
-        opts.model ? opts.model
-                   : std::make_shared<const mach::IdealOverlapModel>(
-                         opts.machine);
+        mach::model_or_ideal(opts.model, opts.machine);
     timed_stage(Stage::kFrontend, opts, label, lane, [&] {
       store.put(run_workload_frontend(store.source(Stage::kFrontend), wkind,
                                       opts.constraints));
@@ -121,9 +119,8 @@ void Compiler::run_stages(ArtifactStore& store, const CompileOptions& opts,
   }
   timed_stage(Stage::kAnalysis, opts, label, lane, [&] {
     store.put(run_analysis(store.nest(Stage::kAnalysis),
-                           opts.model ? opts.model->params() : opts.machine,
-                           opts.procs, opts.auto_procs, opts.kind,
-                           opts.model));
+                           opts.machine_params(), opts.procs,
+                           opts.auto_procs, opts.kind, opts.model));
   });
   timed_stage(Stage::kTiling, opts, label, lane, [&] {
     store.put(run_tiling(store.analysis(Stage::kTiling), opts.height,
@@ -204,7 +201,8 @@ ArtifactStore Compiler::replay(const loop::LoopNest& nest,
                         schedule.length);
     store.put(PlanArtifact{
         std::make_shared<const exec::TilePlan>(plan),
-        core::predict_completion(plan, machine, opts.comm.level)});
+        core::predict_completion(plan, *analysis.problem.cost_model(),
+                                 opts.comm.level)});
   });
   timed_stage(Stage::kBackend, opts, std::string(), 0, [&] {
     store.put(run_backend(store.nest(Stage::kBackend),

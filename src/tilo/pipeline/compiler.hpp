@@ -29,8 +29,7 @@ struct CompileOptions {
   mach::MachineParams machine = mach::MachineParams::paper_cluster();
   /// Optional machine model.  When set it supplies every cost (ranking,
   /// prediction, simulation) and `machine` is ignored in favor of
-  /// model->params(); nullptr keeps the historical params path, which is
-  /// byte-identical to an explicit IdealOverlapModel.
+  /// model->params(); nullptr means the ideal-overlap model over `machine`.
   std::shared_ptr<const mach::Model> model;
   std::optional<lat::Vec> procs;        ///< explicit grid
   std::optional<util::i64> auto_procs;  ///< planner budget (wins over procs)
@@ -59,6 +58,12 @@ struct CompileOptions {
   /// lane = workload index) and bumps the "pipeline.stages" counter; the
   /// Backend also forwards it into run_plan for simulated phase spans.
   obs::Sink* sink = nullptr;
+
+  /// The machine the compilation binds to: model->params() when a model
+  /// is set, else `machine`.
+  const mach::MachineParams& machine_params() const {
+    return model ? model->params() : machine;
+  }
 };
 
 /// The staged compiler.

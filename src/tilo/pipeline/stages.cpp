@@ -317,6 +317,7 @@ AnalysisArtifact run_analysis(const loop::LoopNest& nest,
   const std::size_t md = probe.mapped_dim();
 
   if (auto_procs) {
+    const std::shared_ptr<const mach::Model> cost = probe.cost_model();
     const i64 total = *auto_procs;
     if (total < 1)
       stage_fail(Stage::kAnalysis, "need at least one processor");
@@ -339,10 +340,7 @@ AnalysisArtifact run_analysis(const loop::LoopNest& nest,
       const core::Problem candidate{nest, machine, g, model};
       const core::AnalyticOptimum opt = analytic_for(candidate, kind);
       const double predicted =
-          model ? core::predict_completion(candidate.plan(opt.V, kind),
-                                           *model)
-                : core::predict_completion(candidate.plan(opt.V, kind),
-                                           machine);
+          core::predict_completion(candidate.plan(opt.V, kind), *cost);
       if (!best_grid || predicted < best_predicted) {
         best_grid = g;
         best_predicted = predicted;
@@ -453,9 +451,7 @@ PlanArtifact run_lowering(const AnalysisArtifact& analysis,
   verify_lowered_plan(Stage::kLowering, *plan, tiling.tiling,
                       analysis.mapped_dim, problem.procs, schedule.length);
   const double predicted =
-      problem.model
-          ? core::predict_completion(*plan, *problem.model, level)
-          : core::predict_completion(*plan, problem.machine, level);
+      core::predict_completion(*plan, *problem.cost_model(), level);
   return PlanArtifact{std::move(plan), predicted};
 }
 
@@ -477,12 +473,9 @@ BackendArtifact run_backend(const loop::LoopNest& nest,
     opts.comm = config.comm;
     opts.sink = config.sink;
     opts.tile_costs = config.tile_costs;
-    out.run = analysis.problem.model
-                  ? exec::run_plan(nest, *plan.plan, analysis.problem.model,
-                                   opts, config.workspace)
-                  : exec::run_plan(nest, *plan.plan,
-                                   analysis.problem.machine, opts,
-                                   config.workspace);
+    out.run = exec::run_plan(nest, *plan.plan,
+                             analysis.problem.cost_model(), opts,
+                             config.workspace);
   }
   if (config.emit_program)
     out.program = gen::generate_mpi_program(nest, *plan.plan, config.codegen);

@@ -108,7 +108,7 @@ DagPlanArtifact run_dag_analysis(
 /// plan predicts the smallest completion time; otherwise uses `procs`
 /// (default: one processor everywhere).  `model` (optional) rides along on
 /// the produced Problem so downstream stages rank, predict and simulate
-/// under it; nullptr keeps the historical ideal-overlap params path.
+/// under its cost_model().
 AnalysisArtifact run_analysis(
     const loop::LoopNest& nest, const mach::MachineParams& machine,
     const std::optional<lat::Vec>& procs,

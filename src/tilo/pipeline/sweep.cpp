@@ -1,16 +1,17 @@
-// core::sweep_tile_height / autotune_tile_height, implemented on the staged
-// pipeline: each sweep point runs Tiling → Scheduling → Lowering → Backend
+// core::sweep_select / sweep_tile_height / autotune_tile_height,
+// implemented on the staged pipeline: every point goes through the one
+// measure routine, which runs Tiling → Scheduling → Lowering → Backend
 // through the stage functions (with their verifiers), so every simulated
 // point has passed the same invariant checks a full compile does.  Lives in
-// the pipeline library; the core header is unchanged.
+// the pipeline library because core cannot depend on it.
 #include "tilo/core/sweep.hpp"
 
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "tilo/core/analytic.hpp"
@@ -32,109 +33,18 @@ obs::Time wall_ns() {
       .count();
 }
 
-pipeline::BackendConfig backend_config(const SweepOptions& opts,
-                                       exec::RunWorkspace& workspace) {
-  pipeline::BackendConfig config;
-  config.comm = opts.comm;
-  config.sink = opts.sink;
-  config.workspace = &workspace;
-  return config;
-}
-
-/// One sweep sample: Tiling/Scheduling/Lowering for both kinds at this V,
-/// then both timed runs reusing the worker's workspace (the two runs share
-/// one tiled geometry, so the second reuses the comm table the first
-/// built).  Without a cache the tiling is still built only once — the
-/// non-overlap plan is the overlap plan with the kind flipped (geometry is
-/// kind-independent), re-verified before use.
-SweepPoint measure_point(const pipeline::AnalysisArtifact& analysis, i64 V,
-                         const SweepOptions& opts,
-                         exec::RunWorkspace& workspace) {
-  SweepPoint pt;
-  pt.V = V;
-  const Problem& problem = analysis.problem;
-
-  const pipeline::TilingArtifact tiling =
-      pipeline::run_tiling(analysis, V, ScheduleKind::kOverlap);
-  pt.g = tiling.tiling.tile_volume();
-
-  const pipeline::ScheduleArtifact sched_over =
-      pipeline::run_scheduling(analysis, tiling, ScheduleKind::kOverlap);
-  const pipeline::PlanArtifact over = pipeline::run_lowering(
-      analysis, tiling, sched_over, opts.plan_cache, opts.comm.level);
-
-  const pipeline::ScheduleArtifact sched_nonover =
-      pipeline::run_scheduling(analysis, tiling, ScheduleKind::kNonOverlap);
-  pipeline::PlanArtifact nonover;
-  if (opts.plan_cache) {
-    nonover = pipeline::run_lowering(analysis, tiling, sched_nonover,
-                                     opts.plan_cache, opts.comm.level);
-  } else {
-    auto flipped = std::make_shared<exec::TilePlan>(*over.plan);
-    flipped->kind = ScheduleKind::kNonOverlap;
-    pipeline::verify_lowered_plan(pipeline::Stage::kLowering, *flipped,
-                                  tiling.tiling, analysis.mapped_dim,
-                                  problem.procs, sched_nonover.length);
-    const double predicted =
-        problem.model ? predict_completion(*flipped, *problem.model)
-                      : predict_completion(*flipped, problem.machine);
-    nonover = pipeline::PlanArtifact{std::move(flipped), predicted};
-  }
-
-  pt.predicted_overlap = over.predicted_seconds;
-  pt.predicted_nonoverlap = nonover.predicted_seconds;
-  pt.predicted_cpu_bound =
-      problem.model
-          ? predict_overlap_cpu_bound(*over.plan, *problem.model)
-          : predict_overlap_cpu_bound(*over.plan, problem.machine);
-
-  const pipeline::BackendConfig config = backend_config(opts, workspace);
-  if (opts.run_overlap) {
-    const pipeline::BackendArtifact b =
-        pipeline::run_backend(problem.nest, analysis, over, config);
-    pt.t_overlap = b.run->seconds;
-    pt.events += b.run->events;
-  }
-  if (opts.run_nonoverlap) {
-    const pipeline::BackendArtifact b =
-        pipeline::run_backend(problem.nest, analysis, nonover, config);
-    pt.t_nonoverlap = b.run->seconds;
-    pt.events += b.run->events;
-  }
-  return pt;
-}
-
-double run_once(const pipeline::AnalysisArtifact& analysis, i64 V,
-                ScheduleKind kind, const SweepOptions& opts,
-                exec::RunWorkspace& workspace) {
-  const pipeline::TilingArtifact tiling =
-      pipeline::run_tiling(analysis, V, kind);
-  const pipeline::ScheduleArtifact schedule =
-      pipeline::run_scheduling(analysis, tiling, kind);
-  const pipeline::PlanArtifact plan = pipeline::run_lowering(
-      analysis, tiling, schedule, opts.plan_cache, opts.comm.level);
-  return pipeline::run_backend(analysis.problem.nest, analysis, plan,
-                               backend_config(opts, workspace))
-      .run->seconds;
-}
-
-pipeline::AnalysisArtifact analysis_for(const Problem& problem) {
-  return pipeline::AnalysisArtifact{problem, problem.mapped_dim(), false};
-}
-
-/// The ranking curves the pruning logic consults.  Null/ideal models keep
-/// the closed-form AnalyticModel (its bytes are the historical contract);
-/// a non-ideal Problem.model ranks with the model-aware analytic
-/// completion instead, so pruning decisions track the machine that will
-/// actually be simulated.
+/// The ranking curves the pruning logic consults.  Ideal models keep the
+/// closed-form AnalyticModel (its bytes are the historical contract); a
+/// non-ideal model ranks with the model-aware analytic completion instead,
+/// so pruning decisions track the machine that will actually be simulated.
 struct RankingCurves {
   const Problem& problem;
-  const AnalyticModel& model;
-  bool use_model;
+  const AnalyticModel model;
+  const bool use_model;
 
-  explicit RankingCurves(const Problem& p, const AnalyticModel& m)
-      : problem(p), model(m),
-        use_model(p.model != nullptr && !p.model->ideal()) {}
+  explicit RankingCurves(const Problem& p)
+      : problem(p), model(derive_analytic_model(p)),
+        use_model(!p.model->ideal()) {}
 
   double overlap(i64 V) const {
     return use_model ? analytic_completion(problem, *problem.model, V,
@@ -154,17 +64,26 @@ struct RankingCurves {
   }
 };
 
-/// measure_point with per-kind control, for the pruned fast path: a kind
-/// outside the contending region is neither lowered nor simulated — its
-/// predictions come from the closed-form model instead of the plan.  With
-/// both kinds enabled this compiles and simulates exactly what
-/// measure_point does, so simulated fields are bit-identical to the
-/// exhaustive sweep's.
-SweepPoint measure_point_select(const pipeline::AnalysisArtifact& analysis,
-                                i64 V, const SweepOptions& opts,
-                                exec::RunWorkspace& workspace,
-                                bool do_overlap, bool do_nonoverlap,
-                                const RankingCurves& curves) {
+/// The sweep's private analysis: the problem with its cost model resolved
+/// once, so no point re-resolves it.
+pipeline::AnalysisArtifact analysis_for(const Problem& problem) {
+  return pipeline::AnalysisArtifact{
+      Problem{problem.nest, problem.machine, problem.procs,
+              problem.cost_model()},
+      problem.mapped_dim(), false};
+}
+
+/// One sweep sample: tile at V (for g), then schedule, lower and simulate
+/// each enabled kind, reusing the worker's workspace (both runs share one
+/// tiled geometry, so the second reuses the comm table the first built).
+/// Without a cache the non-overlap plan is the overlap plan with the kind
+/// flipped (geometry is kind-independent), re-verified before use.  A kind
+/// that is off carries the ranking curves' predictions, or zeros without
+/// curves.
+SweepPoint measure_point(const pipeline::AnalysisArtifact& analysis, i64 V,
+                         bool do_overlap, bool do_nonoverlap,
+                         const RankingCurves* curves, const SweepOptions& opts,
+                         exec::RunWorkspace& workspace) {
   SweepPoint pt;
   pt.V = V;
   const Problem& problem = analysis.problem;
@@ -173,62 +92,53 @@ SweepPoint measure_point_select(const pipeline::AnalysisArtifact& analysis,
       pipeline::run_tiling(analysis, V, ScheduleKind::kOverlap);
   pt.g = tiling.tiling.tile_volume();
 
-  const pipeline::BackendConfig config = backend_config(opts, workspace);
-
   pipeline::PlanArtifact over;
   if (do_overlap) {
-    const pipeline::ScheduleArtifact sched_over =
+    const pipeline::ScheduleArtifact sched =
         pipeline::run_scheduling(analysis, tiling, ScheduleKind::kOverlap);
-    over = pipeline::run_lowering(analysis, tiling, sched_over,
-                                  opts.plan_cache, opts.comm.level);
+    over = pipeline::run_lowering(analysis, tiling, sched, opts.plan_cache,
+                                  opts.comm.level);
     pt.predicted_overlap = over.predicted_seconds;
     pt.predicted_cpu_bound =
-        problem.model
-            ? predict_overlap_cpu_bound(*over.plan, *problem.model)
-            : predict_overlap_cpu_bound(*over.plan, problem.machine);
-  } else {
-    pt.predicted_overlap = curves.overlap(V);
-    pt.predicted_cpu_bound = curves.cpu_bound(V);
+        predict_overlap_cpu_bound(*over.plan, *problem.model);
+  } else if (curves) {
+    pt.predicted_overlap = curves->overlap(V);
+    pt.predicted_cpu_bound = curves->cpu_bound(V);
   }
 
   pipeline::PlanArtifact nonover;
   if (do_nonoverlap) {
-    const pipeline::ScheduleArtifact sched_nonover =
+    const pipeline::ScheduleArtifact sched =
         pipeline::run_scheduling(analysis, tiling, ScheduleKind::kNonOverlap);
-    if (opts.plan_cache) {
-      nonover = pipeline::run_lowering(analysis, tiling, sched_nonover,
-                                       opts.plan_cache, opts.comm.level);
-    } else if (do_overlap) {
+    if (do_overlap && !opts.plan_cache) {
       auto flipped = std::make_shared<exec::TilePlan>(*over.plan);
       flipped->kind = ScheduleKind::kNonOverlap;
       pipeline::verify_lowered_plan(pipeline::Stage::kLowering, *flipped,
                                     tiling.tiling, analysis.mapped_dim,
-                                    problem.procs, sched_nonover.length);
-      const double predicted =
-          problem.model ? predict_completion(*flipped, *problem.model)
-                        : predict_completion(*flipped, problem.machine);
+                                    problem.procs, sched.length);
+      const double predicted = predict_completion(*flipped, *problem.model);
       nonover = pipeline::PlanArtifact{std::move(flipped), predicted};
     } else {
-      nonover = pipeline::run_lowering(analysis, tiling, sched_nonover,
-                                       nullptr, opts.comm.level);
+      nonover = pipeline::run_lowering(analysis, tiling, sched,
+                                       opts.plan_cache, opts.comm.level);
     }
     pt.predicted_nonoverlap = nonover.predicted_seconds;
-  } else {
-    pt.predicted_nonoverlap = curves.nonoverlap(V);
+  } else if (curves) {
+    pt.predicted_nonoverlap = curves->nonoverlap(V);
   }
 
-  if (do_overlap) {
+  pipeline::BackendConfig config;
+  config.comm = opts.comm;
+  config.sink = opts.sink;
+  config.workspace = &workspace;
+  const auto simulate = [&](const pipeline::PlanArtifact& plan) {
     const pipeline::BackendArtifact b =
-        pipeline::run_backend(problem.nest, analysis, over, config);
-    pt.t_overlap = b.run->seconds;
+        pipeline::run_backend(problem.nest, analysis, plan, config);
     pt.events += b.run->events;
-  }
-  if (do_nonoverlap) {
-    const pipeline::BackendArtifact b =
-        pipeline::run_backend(problem.nest, analysis, nonover, config);
-    pt.t_nonoverlap = b.run->seconds;
-    pt.events += b.run->events;
-  }
+    return b.run->seconds;
+  };
+  if (do_overlap) pt.t_overlap = simulate(over);
+  if (do_nonoverlap) pt.t_nonoverlap = simulate(nonover);
   return pt;
 }
 
@@ -257,92 +167,60 @@ exec::RunWorkspace& arena_workspace() {
 std::vector<SweepPoint> sweep_tile_height(const Problem& problem,
                                           const std::vector<i64>& heights,
                                           const SweepOptions& opts) {
-  const int threads = resolve_threads(opts.threads);
-  const pipeline::AnalysisArtifact analysis = analysis_for(problem);
-  std::vector<SweepPoint> out(heights.size());
-  // out[i] is keyed by index, so the thread interleaving cannot reorder or
-  // alter results.
-  parallel_for_index(
-      threads, heights.size(), [&](int worker, std::size_t i) {
-        const obs::Time t0 = opts.sink ? wall_ns() : 0;
-        out[i] = measure_point(analysis, heights[i], opts, arena_workspace());
-        if (opts.sink) {
-          opts.sink->host_span("sweep V=" + std::to_string(heights[i]), t0,
-                               wall_ns(), worker);
-          opts.sink->counter("sweep.points", 1.0);
-        }
-      });
-  return out;
+  SweepOptions exhaustive = opts;
+  exhaustive.exhaustive = true;
+  return sweep_select(problem, heights, exhaustive).points;
 }
 
 SweepSelection sweep_select(const Problem& problem,
                             const std::vector<i64>& heights,
                             const SweepOptions& opts) {
-  TILO_REQUIRE(opts.prune_slack >= 1.0, "prune_slack must be >= 1, got ",
-               opts.prune_slack);
+  TILO_REQUIRE(opts.exhaustive || opts.prune_slack >= 1.0,
+               "prune_slack must be >= 1, got ", opts.prune_slack);
   const int threads = resolve_threads(opts.threads);
   const pipeline::AnalysisArtifact analysis = analysis_for(problem);
-  const AnalyticModel model = derive_analytic_model(problem);
-  const RankingCurves curves(problem, model);
   const std::size_t n = heights.size();
 
   SweepSelection sel;
   sel.points.assign(n, {});
-  sel.simulated_overlap.assign(n, 0);
-  sel.simulated_nonoverlap.assign(n, 0);
+  sel.simulated_overlap.assign(n, 1);
+  sel.simulated_nonoverlap.assign(n, 1);
+  sel.total_runs = 2 * static_cast<i64>(n);
   if (n == 0) return sel;
 
-  // Analytic ranking: model-predicted completion per kind, its minimum,
-  // and the contending region { V : T_model(V) <= slack * min }.
-  double min_over = std::numeric_limits<double>::infinity();
-  double min_non = std::numeric_limits<double>::infinity();
-  std::size_t arg_over = 0, arg_non = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double to = curves.overlap(heights[i]);
-    const double tn = curves.nonoverlap(heights[i]);
-    if (to < min_over) {
-      min_over = to;
-      arg_over = i;
+  // Analytic ranking (pruned mode only — the exhaustive escape hatch ranks
+  // nothing, so it runs on nests without an analytic model): predicted
+  // completion per kind, its minimum, and the contending region
+  // { V : T_model(V) <= slack * min }.
+  std::optional<RankingCurves> curves;
+  if (!opts.exhaustive) {
+    curves.emplace(analysis.problem);
+    std::vector<double> over(n), non(n);
+    std::size_t arg_over = 0, arg_non = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      over[i] = curves->overlap(heights[i]);
+      non[i] = curves->nonoverlap(heights[i]);
+      if (over[i] < over[arg_over]) arg_over = i;
+      if (non[i] < non[arg_non]) arg_non = i;
     }
-    if (tn < min_non) {
-      min_non = tn;
-      arg_non = i;
+    sel.V_analytic_overlap = heights[arg_over];
+    sel.V_analytic_nonoverlap = heights[arg_non];
+    for (std::size_t i = 0; i < n; ++i) {
+      sel.simulated_overlap[i] = over[i] <= opts.prune_slack * over[arg_over];
+      sel.simulated_nonoverlap[i] = non[i] <= opts.prune_slack * non[arg_non];
     }
-  }
-  sel.V_analytic_overlap = heights[arg_over];
-  sel.V_analytic_nonoverlap = heights[arg_non];
-  for (std::size_t i = 0; i < n; ++i) {
-    if (opts.run_overlap &&
-        (opts.exhaustive ||
-         curves.overlap(heights[i]) <= opts.prune_slack * min_over))
-      sel.simulated_overlap[i] = 1;
-    if (opts.run_nonoverlap &&
-        (opts.exhaustive ||
-         curves.nonoverlap(heights[i]) <= opts.prune_slack * min_non))
-      sel.simulated_nonoverlap[i] = 1;
   }
 
   // Simulate the contenders; pruned points only pay a tiling (for g) and
-  // carry the model's predictions.  Index-keyed slots keep the result
-  // independent of the worker interleaving, as in sweep_tile_height.
+  // carry the model's predictions.  points[i] is keyed by index, so the
+  // thread interleaving cannot reorder or alter results.
   parallel_for_index(threads, n, [&](int worker, std::size_t i) {
     const bool do_over = sel.simulated_overlap[i] != 0;
     const bool do_non = sel.simulated_nonoverlap[i] != 0;
     const obs::Time t0 = opts.sink ? wall_ns() : 0;
-    if (do_over || do_non) {
-      sel.points[i] = measure_point_select(analysis, heights[i], opts,
-                                           arena_workspace(), do_over,
-                                           do_non, curves);
-    } else {
-      SweepPoint& pt = sel.points[i];
-      pt.V = heights[i];
-      const pipeline::TilingArtifact tiling =
-          pipeline::run_tiling(analysis, heights[i], ScheduleKind::kOverlap);
-      pt.g = tiling.tiling.tile_volume();
-      pt.predicted_overlap = curves.overlap(heights[i]);
-      pt.predicted_nonoverlap = curves.nonoverlap(heights[i]);
-      pt.predicted_cpu_bound = curves.cpu_bound(heights[i]);
-    }
+    sel.points[i] =
+        measure_point(analysis, heights[i], do_over, do_non,
+                      curves ? &*curves : nullptr, opts, arena_workspace());
     if (opts.sink) {
       opts.sink->host_span("sweep V=" + std::to_string(heights[i]), t0,
                            wall_ns(), worker);
@@ -370,11 +248,9 @@ SweepSelection sweep_select(const Problem& problem,
                                            pt.predicted_nonoverlap};
       seen_non = true;
     }
-    sel.simulated_runs += sel.simulated_overlap[i] != 0;
-    sel.simulated_runs += sel.simulated_nonoverlap[i] != 0;
+    sel.simulated_runs +=
+        sel.simulated_overlap[i] + sel.simulated_nonoverlap[i];
   }
-  sel.total_runs = static_cast<i64>(n) * ((opts.run_overlap ? 1 : 0) +
-                                          (opts.run_nonoverlap ? 1 : 0));
   return sel;
 }
 
@@ -383,53 +259,32 @@ SweepSelection verify_pruned_selection(const Problem& problem,
                                        const SweepOptions& opts) {
   SweepOptions pruned_opts = opts;
   pruned_opts.exhaustive = false;
+  const SweepSelection pruned = sweep_select(problem, heights, pruned_opts);
   SweepOptions exhaustive_opts = opts;
   exhaustive_opts.exhaustive = true;
-  const SweepSelection pruned = sweep_select(problem, heights, pruned_opts);
   const SweepSelection full = sweep_select(problem, heights, exhaustive_opts);
-  if (opts.run_overlap) {
-    TILO_REQUIRE(
-        same_recommendation(pruned.best_overlap, full.best_overlap),
-        "pruned sweep diverged from exhaustive (overlap): pruned V=",
-        pruned.best_overlap.V, " t=", pruned.best_overlap.t,
-        " vs exhaustive V=", full.best_overlap.V,
-        " t=", full.best_overlap.t, " — prune_slack ", opts.prune_slack,
-        " leaves the true optimum outside the contending region");
-  }
-  if (opts.run_nonoverlap) {
-    TILO_REQUIRE(
-        same_recommendation(pruned.best_nonoverlap, full.best_nonoverlap),
-        "pruned sweep diverged from exhaustive (non-overlap): pruned V=",
-        pruned.best_nonoverlap.V, " t=", pruned.best_nonoverlap.t,
-        " vs exhaustive V=", full.best_nonoverlap.V,
-        " t=", full.best_nonoverlap.t, " — prune_slack ", opts.prune_slack,
-        " leaves the true optimum outside the contending region");
-  }
+  const auto require_same = [&](const SweepVerdict& p, const SweepVerdict& f,
+                                const char* kind) {
+    TILO_REQUIRE(same_recommendation(p, f),
+                 "pruned sweep diverged from exhaustive (", kind,
+                 "): pruned V=", p.V, " t=", p.t, " vs exhaustive V=", f.V,
+                 " t=", f.t, " — prune_slack ", opts.prune_slack,
+                 " leaves the true optimum outside the contending region");
+  };
+  require_same(pruned.best_overlap, full.best_overlap, "overlap");
+  require_same(pruned.best_nonoverlap, full.best_nonoverlap, "non-overlap");
   return pruned;
 }
 
 std::vector<i64> height_grid(i64 lo, i64 hi, double ratio) {
-  TILO_REQUIRE(lo >= 1 && lo <= hi, "bad height range [", lo, ", ", hi, "]");
-  TILO_REQUIRE(ratio > 1.0, "grid ratio must be > 1");
-  std::vector<i64> grid;
-  double x = static_cast<double>(lo);
-  i64 last = 0;
-  while (static_cast<i64>(x) <= hi) {
-    const i64 v = std::max<i64>(static_cast<i64>(x), last + 1);
-    if (v > hi) break;
-    grid.push_back(v);
-    last = v;
-    x *= ratio;
-  }
-  if (grid.empty() || grid.back() != hi) grid.push_back(hi);
-  return grid;
+  return mach::geometric_grid(lo, hi, ratio);
 }
 
 Autotune autotune_tile_height(const Problem& problem, ScheduleKind kind,
                               i64 lo, i64 hi, const SweepOptions& opts) {
-  TILO_REQUIRE(lo >= 1 && lo <= hi, "bad height range");
   const int threads = resolve_threads(opts.threads);
   const pipeline::AnalysisArtifact analysis = analysis_for(problem);
+  const bool overlap = kind == ScheduleKind::kOverlap;
 
   // Batch evaluation with memoization: each probe V is simulated at most
   // once, a whole batch fans out over the workers, and because the
@@ -446,8 +301,10 @@ Autotune autotune_tile_height(const Problem& problem, ScheduleKind kind,
     parallel_for_index(
         threads, todo.size(), [&](int worker, std::size_t i) {
           const obs::Time t0 = opts.sink ? wall_ns() : 0;
-          values[i] = run_once(analysis, todo[i], kind, opts,
-                               arena_workspace());
+          const SweepPoint pt =
+              measure_point(analysis, todo[i], overlap, !overlap, nullptr,
+                            opts, arena_workspace());
+          values[i] = overlap ? pt.t_overlap : pt.t_nonoverlap;
           if (opts.sink) {
             opts.sink->host_span("probe V=" + std::to_string(todo[i]), t0,
                                  wall_ns(), worker);
@@ -455,32 +312,13 @@ Autotune autotune_tile_height(const Problem& problem, ScheduleKind kind,
           }
         });
     for (std::size_t i = 0; i < todo.size(); ++i) memo[todo[i]] = values[i];
+    std::vector<double> out;
+    out.reserve(candidates.size());
+    for (i64 v : candidates) out.push_back(memo.at(v));
+    return out;
   };
-
-  // Same search as mach::geometric_sweep, with batched probes: coarse
-  // multiplicative grid, first-strict-minimum argmin, linear refinement
-  // around the winner.
-  const std::vector<i64> grid = mach::geometric_grid(lo, hi);
-  evaluate(grid);
-  std::size_t best_idx = 0;
-  double best_val = memo.at(grid[0]);
-  for (std::size_t i = 1; i < grid.size(); ++i) {
-    const double v = memo.at(grid[i]);
-    if (v < best_val) {
-      best_val = v;
-      best_idx = i;
-    }
-  }
-
-  const std::vector<i64> cand = mach::refinement_candidates(grid, best_idx);
-  evaluate(cand);
-  mach::IntMinimum fine{cand[0], memo.at(cand[0])};
-  for (std::size_t i = 1; i < cand.size(); ++i) {
-    const double v = memo.at(cand[i]);
-    if (v < fine.value) fine = mach::IntMinimum{cand[i], v};
-  }
-  if (fine.value < best_val) return Autotune{fine.x, fine.value};
-  return Autotune{grid[best_idx], best_val};
+  const mach::IntMinimum best = mach::geometric_sweep(evaluate, lo, hi);
+  return Autotune{best.x, best.value};
 }
 
 }  // namespace tilo::core

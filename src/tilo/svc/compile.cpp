@@ -32,10 +32,8 @@ Response execute_compile(const pipeline::CompileOptions& base,
   }
   opts.constraints = params.constraints;
   if (!params.model.empty()) {
-    const mach::MachineParams& machine =
-        opts.model ? opts.model->params() : opts.machine;
     std::shared_ptr<const mach::Model> model =
-        mach::make_model(params.model, machine);
+        mach::make_model(params.model, opts.machine_params());
     if (!model) {
       resp.status = RespStatus::kBadRequest;
       std::string names;
@@ -94,10 +92,8 @@ Response execute_compile(const pipeline::CompileOptions& base,
     if (params.simulate && out.backend().run)
       r.set("simulated_seconds", Json::number(out.backend().run->seconds));
     if (params.include_plan)
-      r.set("plan", pipeline::plan_to_json(
-                        out.nest(),
-                        opts.model ? opts.model->params() : opts.machine,
-                        *out.plan().plan));
+      r.set("plan", pipeline::plan_to_json(out.nest(), opts.machine_params(),
+                                           *out.plan().plan));
     resp.result = r.dump();
   } catch (const util::Error& e) {
     resp.status = RespStatus::kError;

@@ -78,7 +78,7 @@ TEST(AnalyticTest, LandsInFlatBasinOfSimulatedCurve) {
               ? core::analytic_optimal_height_overlap(p)
               : core::analytic_optimal_height_nonoverlap(p);
       const double at_analytic =
-          exec::run_plan(p.nest, p.plan(opt.V, kind), p.machine).seconds;
+          exec::run_plan(p.nest, p.plan(opt.V, kind), p.cost_model()).seconds;
       const core::Autotune swept = core::autotune_tile_height(
           p, kind, 16, p.max_tile_height() / 4);
       EXPECT_LE(at_analytic, 1.05 * swept.t_opt)

@@ -68,11 +68,12 @@ TEST(AuditTest, SimulationNeverBeatsTheBound) {
       procs[d] = rng.uniform(1, std::min<i64>(cols, 2));
     }
     const mach::MachineParams p = mach::MachineParams::paper_cluster();
+    const auto model = std::make_shared<mach::IdealOverlapModel>(p);
     for (auto kind : {ScheduleKind::kNonOverlap, ScheduleKind::kOverlap}) {
       const exec::TilePlan plan = exec::make_plan_explicit(
           nest, tile::RectTiling(sides), kind, md, procs);
       const double bound = exec::critical_path_lower_bound(plan, p);
-      const double sim = exec::run_plan(nest, plan, p).seconds;
+      const double sim = exec::run_plan(nest, plan, model).seconds;
       EXPECT_GE(sim, bound * (1.0 - 1e-9))
           << "iter " << iter << " kind " << static_cast<int>(kind);
     }
@@ -82,6 +83,7 @@ TEST(AuditTest, SimulationNeverBeatsTheBound) {
 TEST(AuditTest, BoundHoldsAcrossConfigurations) {
   const LoopNest nest = loop::stencil3d_nest(8, 8, 64);
   const mach::MachineParams p = mach::MachineParams::paper_cluster();
+  const auto model = std::make_shared<mach::IdealOverlapModel>(p);
   const exec::TilePlan plan = exec::make_plan(
       nest, tile::RectTiling(Vec{4, 4, 8}), ScheduleKind::kOverlap);
   const double bound = exec::critical_path_lower_bound(plan, p);
@@ -94,7 +96,7 @@ TEST(AuditTest, BoundHoldsAcrossConfigurations) {
         opts.comm.level = level;
         opts.comm.network = network;
         opts.comm.protocol = protocol;
-        const double sim = exec::run_plan(nest, plan, p, opts).seconds;
+        const double sim = exec::run_plan(nest, plan, model, opts).seconds;
         EXPECT_GE(sim, bound * (1.0 - 1e-9));
         EXPECT_LT(sim, bound * 50);  // sanity: not absurdly inflated
       }
@@ -107,10 +109,11 @@ TEST(AuditTest, PaperOptimaSitCloseToTheBound) {
   // contention-free bound — the pipeline is doing its job.
   const LoopNest nest = loop::paper_space_i();
   const mach::MachineParams p = mach::MachineParams::paper_cluster();
+  const auto model = std::make_shared<mach::IdealOverlapModel>(p);
   const exec::TilePlan plan = exec::make_plan(
       nest, tile::RectTiling(Vec{4, 4, 223}), ScheduleKind::kOverlap);
   const double bound = exec::critical_path_lower_bound(plan, p);
-  const double sim = exec::run_plan(nest, plan, p).seconds;
+  const double sim = exec::run_plan(nest, plan, model).seconds;
   EXPECT_GE(sim, bound);
   EXPECT_LT(sim, 2.5 * bound);
 }

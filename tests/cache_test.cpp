@@ -39,8 +39,12 @@ TEST(CacheModelTest, SpillingTilesSlowTheSimulationDown) {
   mach::MachineParams small_cache = base;
   // 4x4x64 floats = 4 KiB tiles; a 1 KiB cache makes them spill hard.
   small_cache.cache = CacheModel{1024, 4.0};
-  const double t_base = exec::run_plan(nest, plan, base).seconds;
-  const double t_cache = exec::run_plan(nest, plan, small_cache).seconds;
+  const double t_base = exec::run_plan(
+      nest, plan, std::make_shared<mach::IdealOverlapModel>(base)).seconds;
+  const double t_cache =
+      exec::run_plan(nest, plan,
+                     std::make_shared<mach::IdealOverlapModel>(small_cache))
+          .seconds;
   EXPECT_GT(t_cache, 1.5 * t_base);
 }
 
@@ -52,9 +56,9 @@ TEST(CacheModelTest, SimulatedPenaltyRatioMatchesTheModelFactor) {
   core::Problem p{loop::stencil3d_nest(16, 16, 2048),
                   mach::MachineParams::paper_cluster(), Vec{4, 4, 1}};
   const exec::TilePlan plan = p.plan(512, ScheduleKind::kOverlap);
-  const double t_plain = exec::run_plan(p.nest, plan, p.machine).seconds;
+  const double t_plain = exec::run_plan(p.nest, plan, p.cost_model()).seconds;
   p.machine.cache = CacheModel{8 * 1024, 3.0};
-  const double t_cache = exec::run_plan(p.nest, plan, p.machine).seconds;
+  const double t_cache = exec::run_plan(p.nest, plan, p.cost_model()).seconds;
   const mach::StepShape shape = core::steady_step_shape(plan, p.machine);
   const double factor = p.machine.cache.factor(shape.working_set_bytes);
   ASSERT_GT(factor, 2.0);  // the configuration really spills

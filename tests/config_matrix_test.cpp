@@ -18,7 +18,7 @@ using sched::ScheduleKind;
 
 namespace {
 
-mach::MachineParams varied_params() {
+std::shared_ptr<const mach::Model> varied_model() {
   mach::MachineParams p;
   p.t_c = 0.7e-6;
   p.t_t = 0.09e-6;
@@ -26,7 +26,7 @@ mach::MachineParams varied_params() {
   p.wire_latency = 12e-6;
   p.fill_mpi_buffer = mach::AffineCost{21e-6, 3e-9};
   p.fill_kernel_buffer = mach::AffineCost{17e-6, 2e-9};
-  return p;
+  return std::make_shared<mach::IdealOverlapModel>(p);
 }
 
 }  // namespace
@@ -46,7 +46,7 @@ TEST_P(ConfigMatrixTest, OverlapScheduleValuesInvariant) {
   opts.comm.network = network;
   opts.comm.protocol = protocol;
   const exec::RunResult run =
-      exec::run_plan(nest, plan, varied_params(), opts);
+      exec::run_plan(nest, plan, varied_model(), opts);
   const loop::DenseField ref = loop::run_sequential(nest);
   EXPECT_DOUBLE_EQ(loop::max_abs_diff(*run.field, ref), 0.0);
 }
@@ -60,8 +60,8 @@ TEST_P(ConfigMatrixTest, TimingDeterministicPerConfig) {
   opts.comm.level = level;
   opts.comm.network = network;
   opts.comm.protocol = protocol;
-  const auto a = exec::run_plan(nest, plan, varied_params(), opts);
-  const auto b = exec::run_plan(nest, plan, varied_params(), opts);
+  const auto a = exec::run_plan(nest, plan, varied_model(), opts);
+  const auto b = exec::run_plan(nest, plan, varied_model(), opts);
   EXPECT_EQ(a.completion, b.completion);
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.messages, b.messages);
@@ -100,7 +100,7 @@ TEST_P(BlockingConfigTest, NonOverlapScheduleValuesInvariant) {
   opts.functional = true;
   opts.comm.network = GetParam();
   const exec::RunResult run =
-      exec::run_plan(nest, plan, varied_params(), opts);
+      exec::run_plan(nest, plan, varied_model(), opts);
   EXPECT_DOUBLE_EQ(
       loop::max_abs_diff(*run.field, loop::run_sequential(nest)), 0.0);
 }

@@ -64,16 +64,17 @@ TEST(PredictTest, PredictionTracksSimulationForOverlap) {
   // percent of the discrete-event simulation.
   const Problem p = small_problem();
   const exec::TilePlan plan = p.plan(64, ScheduleKind::kOverlap);
-  const double predicted = core::predict_completion(plan, p.machine);
-  const double simulated = exec::run_plan(p.nest, plan, p.machine).seconds;
+  const double predicted = core::predict_completion(plan, *p.cost_model());
+  const double simulated = exec::run_plan(p.nest, plan, p.cost_model()).seconds;
   EXPECT_NEAR(simulated, predicted, 0.15 * predicted);
 }
 
 TEST(PredictTest, CpuBoundFormulaLowerBoundsOverlapPrediction) {
   const Problem p = small_problem();
   const exec::TilePlan plan = p.plan(32, ScheduleKind::kOverlap);
-  EXPECT_LE(core::predict_overlap_cpu_bound(plan, p.machine),
-            core::predict_completion(plan, p.machine) + 1e-12);
+  const auto model = p.cost_model();
+  EXPECT_LE(core::predict_overlap_cpu_bound(plan, *model),
+            core::predict_completion(plan, *model) + 1e-12);
 }
 
 TEST(SweepTest, SweepProducesMonotoneGrid) {
@@ -128,16 +129,4 @@ TEST(SweepTest, AutotuneFindsInteriorOptimum) {
   // The tuned time is at least as good as two arbitrary probes.
   const auto probe = core::sweep_tile_height(p, {8, 128});
   for (const auto& pt : probe) EXPECT_LE(best.t_opt, pt.t_overlap + 1e-12);
-}
-
-TEST(SweepTest, SkippingSchedulesLeavesZeros)
-{
-  const Problem p = small_problem();
-  core::SweepOptions opts;
-  opts.run_nonoverlap = false;
-  const auto points = core::sweep_tile_height(p, {16}, opts);
-  ASSERT_EQ(points.size(), 1u);
-  EXPECT_GT(points[0].t_overlap, 0.0);
-  EXPECT_EQ(points[0].t_nonoverlap, 0.0);
-  EXPECT_GT(points[0].predicted_nonoverlap, 0.0);
 }

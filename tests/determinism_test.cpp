@@ -62,7 +62,7 @@ TEST(DeterminismTest, TimedRunsMatchSeedGoldens) {
     const Problem problem = problem_for_space(g.space);
     const tilo::exec::TilePlan plan = problem.plan(g.V, g.kind);
     const tilo::exec::RunResult r =
-        tilo::exec::run_plan(problem.nest, plan, problem.machine);
+        tilo::exec::run_plan(problem.nest, plan, problem.cost_model());
     EXPECT_EQ(r.completion, g.completion)
         << "space " << g.space << " V " << g.V;
     EXPECT_EQ(r.events, g.events) << "space " << g.space << " V " << g.V;
@@ -76,7 +76,7 @@ std::string timeline_csv(const Problem& problem, i64 V, ScheduleKind kind,
   tilo::trace::Timeline tl;
   tilo::exec::RunOptions opts;
   opts.sink = &tl;
-  tilo::exec::run_plan(problem.nest, plan, problem.machine, opts, ws);
+  tilo::exec::run_plan(problem.nest, plan, problem.cost_model(), opts, ws);
   std::ostringstream os;
   tl.write_csv(os);
   return os.str();
@@ -215,6 +215,33 @@ TEST(DeterminismTest, ParallelAutotuneIdenticalToSerial) {
         problem, kind, 16, problem.max_tile_height(), par);
     EXPECT_EQ(base.V_opt, got.V_opt);
     EXPECT_EQ(base.t_opt, got.t_opt);
+  }
+}
+
+struct AutotuneGolden {
+  int space;
+  ScheduleKind kind;
+  i64 V_opt;
+  double t_opt;
+};
+
+// Seed-captured autotune goldens: geometric search over [16, max/4].
+const AutotuneGolden kAutotuneGoldens[] = {
+    {0, ScheduleKind::kOverlap, 223, 0.24687932800000001},
+    {0, ScheduleKind::kNonOverlap, 336, 0.37862185600000003},
+    {1, ScheduleKind::kOverlap, 296, 0.46265447600000004},
+    {1, ScheduleKind::kNonOverlap, 463, 0.7233315520000001},
+    {2, ScheduleKind::kOverlap, 60, 0.197533448},
+    {2, ScheduleKind::kNonOverlap, 98, 0.268279616},
+};
+
+TEST(DeterminismTest, AutotuneMatchesSeedGoldens) {
+  for (const AutotuneGolden& g : kAutotuneGoldens) {
+    const Problem problem = problem_for_space(g.space);
+    const tilo::core::Autotune got = tilo::core::autotune_tile_height(
+        problem, g.kind, 16, problem.max_tile_height() / 4);
+    EXPECT_EQ(got.V_opt, g.V_opt) << "space " << g.space;
+    EXPECT_EQ(got.t_opt, g.t_opt) << "space " << g.space;
   }
 }
 

@@ -12,7 +12,7 @@ using sched::ScheduleKind;
 
 namespace {
 
-mach::MachineParams fast_params() {
+std::shared_ptr<const mach::Model> fast_model() {
   mach::MachineParams p;
   p.t_c = 1e-6;
   p.t_t = 0.01e-6;
@@ -20,7 +20,7 @@ mach::MachineParams fast_params() {
   p.wire_latency = 2e-6;
   p.fill_mpi_buffer = mach::AffineCost{5e-6, 0.0};
   p.fill_kernel_buffer = mach::AffineCost{5e-6, 0.0};
-  return p;
+  return std::make_shared<mach::IdealOverlapModel>(p);
 }
 
 }  // namespace
@@ -38,7 +38,7 @@ TEST_P(MessageLossTest, LostMessageIsDetectedAsStall) {
   exec::RunOptions opts;
   opts.faults.drop_message = which;  // lose an early or a late message
   try {
-    exec::run_plan(nest, plan, fast_params(), opts);
+    exec::run_plan(nest, plan, fast_model(), opts);
     FAIL() << "expected a stall diagnostic";
   } catch (const util::Error& e) {
     EXPECT_NE(std::string(e.what()).find("stalled"), std::string::npos)
@@ -61,7 +61,7 @@ TEST(MessageLossTest, NoInjectionStillCompletes) {
       nest, tile::RectTiling(Vec{4, 4, 4}), ScheduleKind::kOverlap);
   exec::RunOptions opts;
   opts.faults.drop_message = -1;
-  EXPECT_NO_THROW(exec::run_plan(nest, plan, fast_params(), opts));
+  EXPECT_NO_THROW(exec::run_plan(nest, plan, fast_model(), opts));
 }
 
 TEST(MessageLossTest, DropBeyondTrafficIsHarmless) {
@@ -70,7 +70,7 @@ TEST(MessageLossTest, DropBeyondTrafficIsHarmless) {
       nest, tile::RectTiling(Vec{4, 4, 4}), ScheduleKind::kOverlap);
   exec::RunOptions opts;
   opts.faults.drop_message = 1'000'000;  // more than the run ever sends
-  EXPECT_NO_THROW(exec::run_plan(nest, plan, fast_params(), opts));
+  EXPECT_NO_THROW(exec::run_plan(nest, plan, fast_model(), opts));
 }
 
 TEST(MessageLossTest, SenderOfLostMessageStillProgresses) {
@@ -83,7 +83,7 @@ TEST(MessageLossTest, SenderOfLostMessageStillProgresses) {
   exec::RunOptions opts;
   opts.faults.drop_message = 3;
   try {
-    exec::run_plan(nest, plan, fast_params(), opts);
+    exec::run_plan(nest, plan, fast_model(), opts);
     FAIL() << "expected a stall diagnostic";
   } catch (const util::Error& e) {
     const std::string what = e.what();

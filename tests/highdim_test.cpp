@@ -31,6 +31,10 @@ mach::MachineParams tiny_params() {
   return p;
 }
 
+std::shared_ptr<const mach::Model> tiny_model() {
+  return std::make_shared<mach::IdealOverlapModel>(tiny_params());
+}
+
 LoopNest stencil4d() {
   return LoopNest(
       "stencil4d", Box::from_extents(Vec{6, 6, 6, 20}),
@@ -102,7 +106,7 @@ TEST(HighDimTest, OneDimensionalDegenerateChain) {
         exec::make_plan(nest, RectTiling(Vec{8}), kind);
     EXPECT_EQ(plan.mapping.num_ranks(), 1);
     const exec::RunResult r = exec::run_plan(
-        nest, plan, tiny_params(), exec::RunOptions{.functional = true});
+        nest, plan, tiny_model(), exec::RunOptions{.functional = true});
     EXPECT_EQ(r.messages, 0);
     EXPECT_DOUBLE_EQ(exec::run_and_validate(nest, plan, tiny_params()),
                      0.0);

@@ -11,7 +11,6 @@
 
 #include "tilo/core/analytic.hpp"
 #include "tilo/core/sweep.hpp"
-#include "tilo/exec/run.hpp"
 #include "tilo/fleet/unit.hpp"
 #include "tilo/machine/model.hpp"
 #include "tilo/pipeline/compiler.hpp"
@@ -47,27 +46,6 @@ void expect_points_identical(const std::vector<core::SweepPoint>& a,
 }
 
 }  // namespace
-
-TEST(ModelRegressionTest, RunPlanForwardsShimBitIdentically) {
-  const core::Problem p = core::paper_problem_i();
-  pipeline::CompileOptions opts;
-  opts.machine = p.machine;
-  opts.procs = p.procs;
-  opts.height = 64;
-  opts.simulate = false;
-  const pipeline::ArtifactStore out =
-      pipeline::Compiler(opts).compile_nest(p.nest);
-  const exec::TilePlan& plan = *out.plan().plan;
-
-  const exec::RunResult via_params = exec::run_plan(p.nest, plan, p.machine);
-  const exec::RunResult via_model = exec::run_plan(
-      p.nest, plan, std::make_shared<mach::IdealOverlapModel>(p.machine));
-  EXPECT_EQ(via_model.seconds, via_params.seconds);
-  EXPECT_EQ(via_model.completion, via_params.completion);
-  EXPECT_EQ(via_model.messages, via_params.messages);
-  EXPECT_EQ(via_model.bytes, via_params.bytes);
-  EXPECT_EQ(via_model.events, via_params.events);
-}
 
 TEST(ModelRegressionTest, SweepUnderIdealModelIsByteIdentical) {
   const core::Problem null_model = core::paper_problem_i();

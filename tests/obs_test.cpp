@@ -30,7 +30,7 @@ namespace {
 /// Round-number costs (matching msg_test): fill_mpi = 10 us, fill_kernel =
 /// 20 us, wire = 1 us/B, latency = 5 us, t_c = 1 us — so every span edge
 /// in the golden below is a whole microsecond.
-mach::MachineParams round_params() {
+std::shared_ptr<const mach::Model> round_model() {
   mach::MachineParams p;
   p.t_c = 1e-6;
   p.t_t = 1e-6;
@@ -38,7 +38,7 @@ mach::MachineParams round_params() {
   p.wire_latency = 5e-6;
   p.fill_mpi_buffer = mach::AffineCost{10e-6, 0.0};
   p.fill_kernel_buffer = mach::AffineCost{20e-6, 0.0};
-  return p;
+  return std::make_shared<mach::IdealOverlapModel>(p);
 }
 
 /// The tiny 2-rank workload: a 4x2x4 stencil cut into 2x2x2 tiles, two
@@ -167,7 +167,7 @@ TEST(ChromeTraceTest, TinyTwoRankRunMatchesGolden) {
   obs::ChromeTraceSink chrome;
   exec::RunOptions opts;
   opts.sink = &chrome;
-  exec::run_plan(nest, plan, round_params(), opts);
+  exec::run_plan(nest, plan, round_model(), opts);
   EXPECT_EQ(chrome.size(), 20u);
   std::ostringstream os;
   chrome.write(os);
@@ -220,7 +220,7 @@ TEST(RunReportTest, MakespanReconcilesWithRunResultWithinOneUlp) {
     exec::RunOptions opts;
     opts.sink = &sink;
     const exec::RunResult r =
-        exec::run_plan(problem.nest, plan, problem.machine, opts);
+        exec::run_plan(problem.nest, plan, problem.cost_model(), opts);
     const obs::RunReport rep = sink.report();
 
     // The last span to end IS the completion event, so the integer-ns
@@ -250,7 +250,7 @@ TEST(RunReportTest, OverlapRunCpuPlusBlockedPartitionsEachRank) {
   obs::ReportSink sink;
   exec::RunOptions opts;
   opts.sink = &sink;
-  exec::run_plan(problem.nest, plan, problem.machine, opts);
+  exec::run_plan(problem.nest, plan, problem.cost_model(), opts);
   const obs::RunReport rep = sink.report();
   ASSERT_FALSE(rep.ranks.empty());
   for (const obs::RankBreakdown& r : rep.ranks)
@@ -270,7 +270,9 @@ TEST(RunReportTest, OverlapScheduleRaisesMeanComputeUtilization) {
     obs::ReportSink sink;
     exec::RunOptions opts;
     opts.sink = &sink;
-    exec::run_plan(nest, plan, mach::MachineParams::paper_cluster(), opts);
+    const auto model = std::make_shared<mach::IdealOverlapModel>(
+        mach::MachineParams::paper_cluster());
+    exec::run_plan(nest, plan, model, opts);
     util[i] = sink.report().mean_compute_utilization;
   }
   EXPECT_GT(util[1], util[0]);
@@ -283,7 +285,9 @@ TEST(RunReportTest, EachRankCpuTimeFitsInTheMakespan) {
   obs::ReportSink sink;
   exec::RunOptions opts;
   opts.sink = &sink;
-  exec::run_plan(nest, plan, mach::MachineParams::paper_cluster(), opts);
+  const auto model = std::make_shared<mach::IdealOverlapModel>(
+      mach::MachineParams::paper_cluster());
+  exec::run_plan(nest, plan, model, opts);
   const obs::RunReport rep = sink.report();
   ASSERT_FALSE(rep.ranks.empty());
   for (const obs::RankBreakdown& r : rep.ranks)
@@ -296,7 +300,7 @@ TEST(RunReportTest, WriteOutputsContainSummary) {
   exec::RunOptions opts;
   opts.sink = &sink;
   exec::run_plan(nest, tiny_plan(nest, ScheduleKind::kOverlap),
-                 round_params(), opts);
+                 round_model(), opts);
   const obs::RunReport rep = sink.report();
   std::ostringstream table;
   rep.write_table(table);
@@ -317,7 +321,7 @@ TEST(SinkDeterminismTest, EnablingSinksNeverChangesTheRun) {
        {ScheduleKind::kOverlap, ScheduleKind::kNonOverlap}) {
     const exec::TilePlan plan = problem.plan(444, kind);
     const exec::RunResult bare =
-        exec::run_plan(problem.nest, plan, problem.machine);
+        exec::run_plan(problem.nest, plan, problem.cost_model());
 
     obs::Registry reg;
     obs::ChromeTraceSink chrome;
@@ -335,7 +339,7 @@ TEST(SinkDeterminismTest, EnablingSinksNeverChangesTheRun) {
     exec::RunOptions opts;
     opts.sink = &fan;
     const exec::RunResult observed =
-        exec::run_plan(problem.nest, plan, problem.machine, opts);
+        exec::run_plan(problem.nest, plan, problem.cost_model(), opts);
 
     EXPECT_EQ(bare.completion, observed.completion);
     EXPECT_EQ(bare.events, observed.events);
@@ -368,7 +372,7 @@ TEST(SinkDeterminismTest, ChromeTraceByteIdenticalAcrossRuns) {
     obs::ChromeTraceSink chrome;
     exec::RunOptions opts;
     opts.sink = &chrome;
-    exec::run_plan(nest, plan, round_params(), opts);
+    exec::run_plan(nest, plan, round_model(), opts);
     std::ostringstream os;
     chrome.write(os);
     if (i == 0)
@@ -387,7 +391,7 @@ TEST(TimelineSinkTest, RecordsViaRunOptions) {
   trace::Timeline tl;
   exec::RunOptions opts;
   opts.sink = &tl;
-  const exec::RunResult r = exec::run_plan(nest, plan, round_params(), opts);
+  const exec::RunResult r = exec::run_plan(nest, plan, round_model(), opts);
   EXPECT_EQ(r.completion, 135000);
   EXPECT_EQ(tl.intervals().size(), 20u);
 }

@@ -46,7 +46,7 @@ TEST(PipelineSerialize, DeserializedPlanReplaysBitIdentically) {
   for (const core::Problem& problem : paper_problems()) {
     const exec::TilePlan plan = problem.plan(64, ScheduleKind::kOverlap);
     const exec::RunResult reference =
-        exec::run_plan(problem.nest, plan, problem.machine);
+        exec::run_plan(problem.nest, plan, problem.cost_model());
 
     const pipeline::PlanBundle bundle = pipeline::plan_from_json(
         pipeline::Json::parse(

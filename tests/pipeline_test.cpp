@@ -212,7 +212,7 @@ TEST(PipelineCompiler, CompileSourceProducesEveryArtifact) {
   const core::Problem& problem = out.analysis().problem;
   const exec::TilePlan direct = problem.plan(64, ScheduleKind::kOverlap);
   const exec::RunResult reference =
-      exec::run_plan(problem.nest, direct, problem.machine);
+      exec::run_plan(problem.nest, direct, problem.cost_model());
   EXPECT_EQ(out.backend().run->completion, reference.completion);
 }
 

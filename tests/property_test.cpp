@@ -38,6 +38,10 @@ mach::MachineParams tiny_params() {
   return p;
 }
 
+std::shared_ptr<const mach::Model> tiny_model() {
+  return std::make_shared<mach::IdealOverlapModel>(tiny_params());
+}
+
 /// Draws a random nest plus a random legal tiling and processor grid.
 struct RandomCase {
   LoopNest nest;
@@ -167,7 +171,7 @@ TEST_P(SchedulePropertiesTest, ExecutorSendsExactlyTheGeometricMessages) {
       expect_bytes += out.points * tiny_params().bytes_per_element;
     }
   });
-  const exec::RunResult r = exec::run_plan(c.nest, plan, tiny_params());
+  const exec::RunResult r = exec::run_plan(c.nest, plan, tiny_model());
   EXPECT_EQ(r.messages, expect_messages);
   EXPECT_EQ(r.bytes, expect_bytes);
 }
@@ -180,8 +184,8 @@ TEST_P(SchedulePropertiesTest, CpuBoundPredictionTracksSimulation) {
                         mach::MachineParams::paper_cluster(),
                         Vec{4, 4, 1}};
   const exec::TilePlan plan = p.plan(V, ScheduleKind::kOverlap);
-  const double predicted = core::predict_completion(plan, p.machine);
-  const double simulated = exec::run_plan(p.nest, plan, p.machine).seconds;
+  const double predicted = core::predict_completion(plan, *p.cost_model());
+  const double simulated = exec::run_plan(p.nest, plan, p.cost_model()).seconds;
   EXPECT_NEAR(simulated, predicted, 0.15 * predicted) << "V = " << V;
 }
 
@@ -206,13 +210,14 @@ TEST_P(TimingMonotonicityTest, OverlapNeverLosesOnStencil) {
   const int v_shift = GetParam();
   const i64 V = i64{4} << v_shift;
   const LoopNest nest = loop::stencil3d_nest(8, 8, 128);
-  const mach::MachineParams p = mach::MachineParams::paper_cluster();
+  const auto model = std::make_shared<mach::IdealOverlapModel>(
+      mach::MachineParams::paper_cluster());
   const auto over = exec::make_plan(nest, RectTiling(Vec{4, 4, V}),
                                     ScheduleKind::kOverlap);
   const auto non = exec::make_plan(nest, RectTiling(Vec{4, 4, V}),
                                    ScheduleKind::kNonOverlap);
-  EXPECT_LT(exec::run_plan(nest, over, p).seconds,
-            exec::run_plan(nest, non, p).seconds)
+  EXPECT_LT(exec::run_plan(nest, over, model).seconds,
+            exec::run_plan(nest, non, model).seconds)
       << "V = " << V;
 }
 

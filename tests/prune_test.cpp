@@ -9,6 +9,7 @@
 #include <cstring>
 
 #include "tilo/core/analytic.hpp"
+#include "tilo/core/plancache.hpp"
 #include "tilo/core/problem.hpp"
 #include "tilo/core/sweep.hpp"
 #include "tilo/loopnest/workloads.hpp"
@@ -141,23 +142,69 @@ TEST(PruneSelectTest, SlackBelowOneIsRejected) {
                util::Error);
 }
 
-/// Exhaustive mode is the escape hatch: every point simulated, bytes
-/// identical to the plain sweep.
-TEST(PruneSelectTest, ExhaustiveModeMatchesPlainSweep) {
-  const Problem problem = core::paper_problem_iii();
-  const std::vector<i64> heights = grid_for(problem);
-  SweepOptions opts;
+namespace {
+
+/// Exhaustive mode is the escape hatch: every point simulated, every
+/// field bit-identical to the plain sweep.
+void expect_exhaustive_matches_plain(const Problem& problem,
+                                     const std::vector<i64>& heights,
+                                     SweepOptions opts) {
   opts.exhaustive = true;
   const SweepSelection sel = core::sweep_select(problem, heights, opts);
   const std::vector<core::SweepPoint> plain =
-      core::sweep_tile_height(problem, heights);
+      core::sweep_tile_height(problem, heights, opts);
   ASSERT_EQ(sel.points.size(), plain.size());
+  EXPECT_EQ(sel.simulated_runs, sel.total_runs);
   for (std::size_t i = 0; i < plain.size(); ++i) {
-    EXPECT_EQ(sel.points[i].V, plain[i].V);
-    EXPECT_EQ(sel.points[i].t_overlap, plain[i].t_overlap);
-    EXPECT_EQ(sel.points[i].t_nonoverlap, plain[i].t_nonoverlap);
-    EXPECT_EQ(sel.points[i].events, plain[i].events);
+    const core::SweepPoint& a = sel.points[i];
+    const core::SweepPoint& b = plain[i];
+    EXPECT_EQ(a.V, b.V);
+    EXPECT_EQ(a.g, b.g);
+    EXPECT_EQ(a.t_overlap, b.t_overlap) << "V=" << a.V;
+    EXPECT_EQ(a.t_nonoverlap, b.t_nonoverlap) << "V=" << a.V;
+    EXPECT_EQ(a.predicted_overlap, b.predicted_overlap) << "V=" << a.V;
+    EXPECT_EQ(a.predicted_nonoverlap, b.predicted_nonoverlap) << "V=" << a.V;
+    EXPECT_EQ(a.predicted_cpu_bound, b.predicted_cpu_bound) << "V=" << a.V;
+    EXPECT_EQ(a.events, b.events) << "V=" << a.V;
   }
+}
+
+}  // namespace
+
+TEST(PruneSelectTest, ExhaustiveModeMatchesPlainSweep) {
+  const Problem problem = core::paper_problem_iii();
+  expect_exhaustive_matches_plain(problem, grid_for(problem), {});
+
+  Problem taxed = core::paper_problem_iii();
+  taxed.model = mach::make_model("interference", taxed.machine);
+  expect_exhaustive_matches_plain(taxed, grid_for(taxed), {});
+
+  core::PlanCache cache;
+  SweepOptions cached;
+  cached.plan_cache = &cache;
+  cached.threads = 2;
+  expect_exhaustive_matches_plain(problem, grid_for(problem), cached);
+}
+
+/// The escape hatch ranks nothing, so it runs on any nest the plain sweep
+/// runs on — including one with no dependences, which has no analytic
+/// model.
+TEST(PruneSelectTest, ExhaustiveModeNeedsNoAnalyticModel) {
+  const loop::LoopNest nest("independent",
+                            lat::Box(Vec{0, 0, 0}, Vec{15, 15, 1023}),
+                            loop::DependenceSet{});
+  const Problem problem{nest, mach::MachineParams::paper_cluster(),
+                        Vec{4, 4, 1}, nullptr};
+  const std::vector<i64> heights = core::height_grid(16, 1024, 2.0);
+  EXPECT_THROW(core::derive_analytic_model(problem), util::Error);
+  SweepOptions opts;
+  opts.exhaustive = true;
+  SweepSelection sel;
+  ASSERT_NO_THROW(sel = core::sweep_select(problem, heights, opts));
+  EXPECT_EQ(sel.simulated_runs, sel.total_runs);
+  EXPECT_GT(sel.best_overlap.t, 0.0);
+  EXPECT_GT(sel.best_nonoverlap.t, 0.0);
+  expect_exhaustive_matches_plain(problem, heights, {});
 }
 
 /// Randomized instances: the contending region certified by the verifier

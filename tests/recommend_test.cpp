@@ -46,7 +46,7 @@ TEST(RecommendTest, ChoiceMinimizesPredictionOverAllGrids) {
     core::Problem alt{nest, m, Vec{p0, p1, 1}};
     const auto opt = core::analytic_optimal_height_overlap(alt);
     const double predicted = core::predict_completion(
-        alt.plan(opt.V, ScheduleKind::kOverlap), m);
+        alt.plan(opt.V, ScheduleKind::kOverlap), *alt.cost_model());
     EXPECT_LE(best.predicted_seconds, predicted + 1e-12)
         << "grid " << p0 << "x" << p1;
   }
@@ -56,7 +56,8 @@ TEST(RecommendTest, RecommendedPlanRunsAndValidates) {
   const LoopNest nest = loop::stencil3d_nest(8, 8, 256);
   const mach::MachineParams m = mach::MachineParams::paper_cluster();
   const Recommendation r = core::recommend_plan(nest, m, 4);
-  const double simulated = exec::run_plan(nest, r.plan, m).seconds;
+  const double simulated = exec::run_plan(
+      nest, r.plan, std::make_shared<mach::IdealOverlapModel>(m)).seconds;
   EXPECT_NEAR(simulated, r.predicted_seconds, 0.25 * r.predicted_seconds);
   EXPECT_DOUBLE_EQ(exec::run_and_validate(nest, r.plan, m), 0.0);
 }

@@ -115,7 +115,7 @@ TEST(RendezvousTest, ExecutorStillComputesCorrectly) {
   opts.functional = true;
   opts.comm.protocol = Protocol::kRendezvous;
   const exec::RunResult run =
-      exec::run_plan(nest, plan, round_params(), opts);
+      exec::run_plan(nest, plan, round_model(), opts);
   const loop::DenseField ref = loop::run_sequential(nest);
   EXPECT_DOUBLE_EQ(loop::max_abs_diff(*run.field, ref), 0.0);
 }
@@ -129,12 +129,13 @@ TEST(RendezvousTest, CommBoundRunsPayTheHandshake) {
   const exec::TilePlan plan = exec::make_plan(
       nest, tile::RectTiling(lat::Vec{4, 4, 8}),
       sched::ScheduleKind::kOverlap);
-  mach::MachineParams p = mach::MachineParams::paper_cluster();
+  const auto model = std::make_shared<mach::IdealOverlapModel>(
+      mach::MachineParams::paper_cluster());
   exec::RunOptions eager;
   exec::RunOptions rdv;
   rdv.comm.protocol = Protocol::kRendezvous;
-  const double t_eager = exec::run_plan(nest, plan, p, eager).seconds;
-  const double t_rdv = exec::run_plan(nest, plan, p, rdv).seconds;
+  const double t_eager = exec::run_plan(nest, plan, model, eager).seconds;
+  const double t_rdv = exec::run_plan(nest, plan, model, rdv).seconds;
   EXPECT_GT(t_rdv, t_eager);
   EXPECT_LT(t_rdv, 1.6 * t_eager);  // but bounded
 }
@@ -145,7 +146,8 @@ TEST(RendezvousTest, OverheadShrinksWithGrain) {
   // the tile grain (steps' compute share) grows — the same grain argument
   // the paper makes for the startup costs.
   const loop::LoopNest nest = loop::stencil3d_nest(8, 8, 1024);
-  mach::MachineParams p = mach::MachineParams::paper_cluster();
+  const auto model = std::make_shared<mach::IdealOverlapModel>(
+      mach::MachineParams::paper_cluster());
   auto overhead = [&](util::i64 V) {
     const exec::TilePlan plan = exec::make_plan(
         nest, tile::RectTiling(lat::Vec{4, 4, V}),
@@ -153,8 +155,8 @@ TEST(RendezvousTest, OverheadShrinksWithGrain) {
     exec::RunOptions eager;
     exec::RunOptions rdv;
     rdv.comm.protocol = Protocol::kRendezvous;
-    const double t_eager = exec::run_plan(nest, plan, p, eager).seconds;
-    const double t_rdv = exec::run_plan(nest, plan, p, rdv).seconds;
+    const double t_eager = exec::run_plan(nest, plan, model, eager).seconds;
+    const double t_rdv = exec::run_plan(nest, plan, model, rdv).seconds;
     return (t_rdv - t_eager) / t_eager;
   };
   const double small_grain = overhead(8);

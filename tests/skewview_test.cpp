@@ -21,7 +21,7 @@ using util::i64;
 
 namespace {
 
-mach::MachineParams tiny_params() {
+std::shared_ptr<const mach::Model> tiny_model() {
   mach::MachineParams p;
   p.t_c = 1e-6;
   p.t_t = 0.02e-6;
@@ -29,7 +29,7 @@ mach::MachineParams tiny_params() {
   p.wire_latency = 1e-6;
   p.fill_mpi_buffer = mach::AffineCost{3e-6, 0.0};
   p.fill_kernel_buffer = mach::AffineCost{3e-6, 0.0};
-  return p;
+  return std::make_shared<mach::IdealOverlapModel>(p);
 }
 
 /// A wavefront (SOR-like) nest: deps {(1,-1), (1,0), (1,1)}.
@@ -85,7 +85,7 @@ TEST(SkewViewTest, DistributedWavefrontBothSchedules) {
         exec::make_plan(view, tile::RectTiling(sides), kind);
     exec::RunOptions opts;
     opts.functional = true;
-    const exec::RunResult run = exec::run_plan(view, plan, tiny_params(),
+    const exec::RunResult run = exec::run_plan(view, plan, tiny_model(),
                                                opts);
     // The distributed skewed result, mapped back, equals the direct
     // sequential execution of the original wavefront nest.
@@ -132,7 +132,7 @@ TEST_P(SkewPipelineTest, RandomNegativeDepsEndToEnd) {
   exec::RunOptions ropts;
   ropts.functional = true;
   const exec::RunResult run =
-      exec::run_plan(view, plan, tiny_params(), ropts);
+      exec::run_plan(view, plan, tiny_model(), ropts);
   const loop::DenseField mapped =
       loop::unskew_field(*run.field, *skew, nest.domain());
   EXPECT_DOUBLE_EQ(
