@@ -21,6 +21,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -243,11 +244,25 @@ int main(int argc, char** argv) {
                    static_cast<double>(units.size()) / single_node_seconds, 1)
             << " units/s)\n";
 
+  // Each point is the median-wall of three runs: a run at 4 or 8 workers
+  // takes about 0.1 s, short enough for one scheduler stall on a shared
+  // host to decide a single-shot comparison between worker counts.
   std::vector<ScalePoint> scaling;
   bool determinism_ok = true;
   for (const int nworkers : {1, 2, 4, 8}) {
-    const ScalePoint p = run_scale(units, nworkers, reference);
-    determinism_ok = determinism_ok && p.identical;
+    std::vector<ScalePoint> reps;
+    bool identical = true;
+    for (int rep = 0; rep < 3; ++rep) {
+      reps.push_back(run_scale(units, nworkers, reference));
+      identical = identical && reps.back().identical;
+    }
+    std::sort(reps.begin(), reps.end(),
+              [](const ScalePoint& a, const ScalePoint& b) {
+                return a.wall_seconds < b.wall_seconds;
+              });
+    ScalePoint p = reps[1];
+    p.identical = identical;
+    determinism_ok = determinism_ok && identical;
     std::cout << "  " << nworkers << " worker(s)  "
               << util::fmt_fixed(p.wall_seconds, 2) << " s  ("
               << util::fmt_fixed(p.units_per_sec, 1) << " units/s)"

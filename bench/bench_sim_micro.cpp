@@ -4,6 +4,8 @@
 // sustains per wall-second.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
 
 #include "tilo/core/problem.hpp"
@@ -35,6 +37,38 @@ static void BM_EngineEventThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * chain);
 }
 BENCHMARK(BM_EngineEventThroughput)->Arg(1000)->Arg(100000);
+
+static void BM_EnginePending(benchmark::State& state) {
+  // A steady pending set `width` events wide: every event reschedules
+  // itself a pseudo-random 0-1023 ns ahead, so each pop is matched by one
+  // push into a queue of that width.  Timed runs keep about 20 events
+  // pending; a burst of sends can leave thousands.  Per-event cost must
+  // grow like log(width), not like width.
+  const int width = static_cast<int>(state.range(0));
+  const int events = std::max(200000, 4 * width);
+  struct Hop {
+    sim::Engine* e;
+    std::uint64_t* lcg;
+    int* remaining;
+    void operator()() const {
+      if (--*remaining <= 0) return;
+      *lcg = *lcg * 6364136223846793005ull + 1442695040888963407ull;
+      e->after(static_cast<sim::Time>(*lcg >> 54), *this);
+    }
+  };
+  std::uint64_t processed = 0;
+  for (auto _ : state) {
+    sim::Engine e;
+    std::uint64_t lcg = 1;
+    int remaining = events;
+    for (int i = 0; i < width; ++i) e.at(i, Hop{&e, &lcg, &remaining});
+    e.run();
+    benchmark::DoNotOptimize(e.now());
+    processed += e.events_processed();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(processed));
+}
+BENCHMARK(BM_EnginePending)->Arg(16)->Arg(1024)->Arg(65536);
 
 static void BM_EngineEventThroughputStdFunction(benchmark::State& state) {
   // Same chain through a std::function indirection — quantifies what the

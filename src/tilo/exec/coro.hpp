@@ -49,6 +49,8 @@ struct RankProgram {
 };
 
 /// co_await CpuAwait(...): occupy the CPU for `dt`, recording `phase`.
+/// The coroutine handle itself is the engine event, resumed straight from
+/// the queue.
 class CpuAwait {
  public:
   CpuAwait(msg::Endpoint& ep, sim::Time dt, obs::Phase phase)
@@ -56,7 +58,7 @@ class CpuAwait {
 
   bool await_ready() const noexcept { return dt_ == 0; }
   void await_suspend(std::coroutine_handle<> h) {
-    ep_->cpu(dt_, phase_, [h] { h.resume(); });
+    ep_->cpu(dt_, phase_, h);
   }
   void await_resume() const noexcept {}
 
@@ -68,11 +70,12 @@ class CpuAwait {
 
 /// co_await SendDoneAwait(...): block (CPU idle) until the send pipeline
 /// finishes; the blocked interval is reported to the cluster's sink.
+/// Refers to the caller's handle, which must outlive the co_await.
 class SendDoneAwait {
  public:
   SendDoneAwait(msg::Cluster& cluster, int rank,
-                std::shared_ptr<msg::SendHandle> handle)
-      : cluster_(&cluster), rank_(rank), handle_(std::move(handle)) {}
+                const std::shared_ptr<msg::SendHandle>& handle)
+      : cluster_(&cluster), rank_(rank), handle_(handle) {}
 
   bool await_ready() const noexcept { return handle_->done; }
   void await_suspend(std::coroutine_handle<> h) {
@@ -93,16 +96,17 @@ class SendDoneAwait {
  private:
   msg::Cluster* cluster_;
   int rank_;
-  std::shared_ptr<msg::SendHandle> handle_;
+  const std::shared_ptr<msg::SendHandle>& handle_;
 };
 
 /// co_await RecvReadyAwait(...): block until the message is kernel-ready.
-/// The caller still owes the A3 CPU charge afterwards.
+/// The caller still owes the A3 CPU charge afterwards.  Refers to the
+/// caller's handle, which must outlive the co_await.
 class RecvReadyAwait {
  public:
   RecvReadyAwait(msg::Cluster& cluster, int rank,
-                 std::shared_ptr<msg::RecvHandle> handle)
-      : cluster_(&cluster), rank_(rank), handle_(std::move(handle)) {}
+                 const std::shared_ptr<msg::RecvHandle>& handle)
+      : cluster_(&cluster), rank_(rank), handle_(handle) {}
 
   bool await_ready() const noexcept { return handle_->ready; }
   void await_suspend(std::coroutine_handle<> h) {
@@ -123,7 +127,7 @@ class RecvReadyAwait {
  private:
   msg::Cluster* cluster_;
   int rank_;
-  std::shared_ptr<msg::RecvHandle> handle_;
+  const std::shared_ptr<msg::RecvHandle>& handle_;
 };
 
 }  // namespace tilo::exec

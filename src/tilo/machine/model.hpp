@@ -52,6 +52,10 @@ class Model {
   const MachineParams& params() const { return params_; }
 
   // --- per-stage hooks (seconds), the simulator's cost source ----------
+  // Every stage and interference hook must be a pure function of its
+  // arguments (and of the model's construction-time state): msg::Cluster
+  // memoizes each result per run on the hook's arguments, so a hook that
+  // answered differently on a repeated call would not be asked again.
   /// A1/A3: CPU cost to fill/drain the user-space MPI buffer.
   virtual double fill_mpi_seconds(i64 bytes) const {
     return params_.fill_mpi_buffer.at(bytes);

@@ -53,6 +53,7 @@ void Cluster::reset(int num_nodes, std::shared_ptr<const mach::Model> model,
   suspended_.assign(static_cast<std::size_t>(num_nodes), nullptr);
   transfers_.clear();
   free_transfers_.clear();
+  for (auto& table : memo_) table.fill(Memo{});
 }
 
 Endpoint& Cluster::node(int rank) {
@@ -66,34 +67,73 @@ sim::Time Cluster::run() {
   return engine_.now();
 }
 
+namespace {
+
+/// One i64 key word for a (src, dst) link.
+i64 link_key(int src, int dst) {
+  return static_cast<i64>((static_cast<std::uint64_t>(
+                               static_cast<std::uint32_t>(src))
+                           << 32) |
+                          static_cast<std::uint32_t>(dst));
+}
+
+}  // namespace
+
+template <typename Price>
+sim::Time Cluster::memo(Hook hook, i64 a, i64 b, Price price) const {
+  const std::uint64_t h =
+      (static_cast<std::uint64_t>(a) ^
+       static_cast<std::uint64_t>(b) * 0xC2B2AE3D27D4EB4Full) *
+      0x9E3779B97F4A7C15ull;
+  Memo& m = memo_[hook][h >> (64 - kMemoBits)];
+  if (m.ns >= 0 && m.a == a && m.b == b) return m.ns;
+  const sim::Time ns = price();
+  m = Memo{a, b, ns};
+  return ns;
+}
+
 sim::Time Cluster::fill_mpi_ns(i64 bytes) const {
-  return sim::from_seconds(model_->fill_mpi_seconds(bytes));
+  return memo(kFillMpi, bytes, 0, [&] {
+    return sim::from_seconds(model_->fill_mpi_seconds(bytes));
+  });
 }
 
 sim::Time Cluster::fill_kernel_ns(i64 bytes) const {
-  return sim::from_seconds(model_->fill_kernel_seconds(bytes));
+  return memo(kFillKernel, bytes, 0, [&] {
+    return sim::from_seconds(model_->fill_kernel_seconds(bytes));
+  });
 }
 
 sim::Time Cluster::half_wire_ns(i64 bytes, int src, int dst) const {
-  return sim::from_seconds(model_->half_wire_seconds(bytes, src, dst));
+  return memo(kHalfWire, bytes, link_key(src, dst), [&] {
+    return sim::from_seconds(model_->half_wire_seconds(bytes, src, dst));
+  });
 }
 
 sim::Time Cluster::latency_ns(int src, int dst) const {
-  return sim::from_seconds(model_->wire_latency_seconds(src, dst));
+  return memo(kLatency, link_key(src, dst), 0, [&] {
+    return sim::from_seconds(model_->wire_latency_seconds(src, dst));
+  });
 }
 
 sim::Time Cluster::compute_ns(i64 iterations, i64 working_set_bytes) const {
   TILO_REQUIRE(iterations >= 0, "negative iteration count");
-  return sim::from_seconds(
-      model_->compute_seconds(iterations, working_set_bytes));
+  return memo(kCompute, iterations, working_set_bytes, [&] {
+    return sim::from_seconds(
+        model_->compute_seconds(iterations, working_set_bytes));
+  });
 }
 
 sim::Time Cluster::send_interference_ns(i64 bytes) const {
-  return sim::from_seconds(model_->send_interference_seconds(bytes));
+  return memo(kSendStall, bytes, 0, [&] {
+    return sim::from_seconds(model_->send_interference_seconds(bytes));
+  });
 }
 
 sim::Time Cluster::recv_interference_ns(i64 bytes) const {
-  return sim::from_seconds(model_->recv_interference_seconds(bytes));
+  return memo(kRecvStall, bytes, 0, [&] {
+    return sim::from_seconds(model_->recv_interference_seconds(bytes));
+  });
 }
 
 sim::Resource& Cluster::send_channel(int rank) {
@@ -214,7 +254,7 @@ void Cluster::start_pipeline(std::uint32_t id) {
   const int dst = x.m.dst;
   const sim::Time b3 = fill_kernel_ns(x.m.bytes);
   x.wire = half_wire_ns(x.m.bytes, src, dst);  // B4, and B1 on arrival
-  x.recv_copy = fill_kernel_ns(x.m.bytes);     // B2
+  x.recv_copy = b3;                            // B2 = B3
   x.latency = latency_ns(src, dst);
   const sim::Time b4 = x.wire;
 

@@ -3,6 +3,8 @@
 // testbed (see DESIGN.md §2).
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -107,6 +109,9 @@ class Cluster {
   // --- cost conversion helpers (seconds model -> simulated ns) ---
   // Wire helpers take an optional (src, dst) so heterogeneous-link models
   // can charge per-link costs; negative endpoints mean the default link.
+  // Each result is memoized per run on the hook and its arguments (model
+  // hooks are pure, see mach::Model), so a repeated stage costs a table
+  // probe instead of a virtual call and a rounding.
   sim::Time fill_mpi_ns(i64 bytes) const;
   sim::Time fill_kernel_ns(i64 bytes) const;
   sim::Time half_wire_ns(i64 bytes, int src = -1, int dst = -1) const;
@@ -198,6 +203,31 @@ class Cluster {
 
   void track_sent(int src, int dst, i64 bytes);
   void track_delivered(i64 bytes);
+
+  // Stage-cost memo: per hook, a direct-mapped table on the hook's
+  // arguments (a, b), emptied by reset() because the model may change
+  // between runs.  A slot keeps the last key hashed to it, so a collision
+  // costs a recomputation, never a wrong answer.
+  enum Hook : std::size_t {
+    kFillMpi,
+    kFillKernel,
+    kHalfWire,
+    kLatency,
+    kCompute,
+    kSendStall,
+    kRecvStall,
+    kHooks
+  };
+  struct Memo {
+    i64 a = 0;
+    i64 b = 0;
+    sim::Time ns = -1;  // < 0: empty (stage costs are never negative)
+  };
+  static constexpr int kMemoBits = 7;
+  template <typename Price>
+  sim::Time memo(Hook hook, i64 a, i64 b, Price price) const;
+  mutable std::array<std::array<Memo, std::size_t{1} << kMemoBits>, kHooks>
+      memo_{};
 };
 
 }  // namespace tilo::msg

@@ -1,5 +1,7 @@
 #include "tilo/msg/endpoint.hpp"
 
+#include <optional>
+
 #include "tilo/msg/cluster.hpp"
 #include "tilo/util/pool.hpp"
 #include "tilo/util/error.hpp"
@@ -7,7 +9,7 @@
 namespace tilo::msg {
 
 Endpoint::Endpoint(Cluster& cluster, int rank)
-    : cluster_(&cluster), rank_(rank) {}
+    : cluster_(&cluster), engine_(&cluster.engine()), rank_(rank) {}
 
 void Endpoint::cpu_record(sim::Time dt, obs::Phase phase,
                           std::string_view label) {
@@ -17,8 +19,6 @@ void Endpoint::cpu_record(sim::Time dt, obs::Phase phase,
     sink->span(rank_, phase, now, now + dt, label);
   }
 }
-
-sim::Engine& Endpoint::engine() const { return cluster_->engine(); }
 
 std::shared_ptr<SendHandle> Endpoint::isend(int dst, i64 tag, i64 bytes,
                                             Payload payload) {

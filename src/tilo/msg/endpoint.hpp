@@ -12,14 +12,12 @@
 // after which the message is "kernel-ready" and a matching irecv completes.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <optional>
 #include <string>
-#include <utility>
-#include <vector>
 
+#include "tilo/msg/match_table.hpp"
 #include "tilo/msg/message.hpp"
 #include "tilo/obs/sink.hpp"
 #include "tilo/sim/resource.hpp"
@@ -95,13 +93,19 @@ class Endpoint {
   /// when it picks the message up (non-overlapping semantics, Fig. 7).
   void post_blocking(int dst, i64 tag, i64 bytes, Payload payload = {});
 
+  /// Entries pending in the matching tables: arrived messages, posted
+  /// receives and (rendezvous) parked senders.
+  std::size_t pending_entries() const {
+    return arrived_.size() + posted_.size() + rts_pending_.size();
+  }
+
  private:
   friend class Cluster;
 
   /// Sink reporting + validation half of cpu(); out of line so the
   /// template above does not need the Cluster definition.
   void cpu_record(sim::Time dt, obs::Phase phase, std::string_view label);
-  sim::Engine& engine() const;
+  sim::Engine& engine() const { return *engine_; }
 
   /// Called by Cluster when a message addressed to this rank becomes
   /// kernel-ready.
@@ -116,61 +120,8 @@ class Endpoint {
   /// Drops every pending entry (a reset cluster starts empty).
   void clear();
 
-  /// Pending entries matched by (source, tag), oldest first within a key.
-  /// Each entry is one tree node; removed nodes are kept and refilled by
-  /// later pushes, so a warm table matches without heap allocation.
-  template <typename V>
-  class MatchTable {
-   public:
-    using Key = std::pair<int, i64>;  // (src, tag)
-
-    void push(const Key& key, V value) {
-      if (spare_.empty()) {
-        // multimap inserts at the upper bound of a key's range: FIFO.
-        map_.emplace(key, std::move(value));
-        return;
-      }
-      auto node = std::move(spare_.back());
-      spare_.pop_back();
-      node.key() = key;
-      node.mapped() = std::move(value);
-      map_.insert(std::move(node));
-    }
-
-    /// Removes and returns the oldest entry under `key`, if any.
-    std::optional<V> pop(const Key& key) {
-      const auto it = first(key);
-      if (it == map_.end()) return std::nullopt;
-      auto node = map_.extract(it);
-      std::optional<V> out(std::move(node.mapped()));
-      node.mapped() = V{};  // drop held payloads and handles now
-      spare_.push_back(std::move(node));
-      return out;
-    }
-
-    /// The first entry under `key` satisfying `pred`, or nullptr.
-    template <typename Pred>
-    V* find_if(const Key& key, Pred pred) {
-      for (auto it = first(key); it != map_.end() && it->first == key; ++it)
-        if (pred(it->second)) return &it->second;
-      return nullptr;
-    }
-
-    void clear() { map_.clear(); }
-
-   private:
-    using Map = std::multimap<Key, V>;
-
-    typename Map::iterator first(const Key& key) {
-      const auto it = map_.lower_bound(key);
-      return it != map_.end() && it->first == key ? it : map_.end();
-    }
-
-    Map map_;
-    std::vector<typename Map::node_type> spare_;
-  };
-
   Cluster* cluster_;
+  sim::Engine* engine_;  // the cluster's, which never moves
   int rank_;
 
   MatchTable<Message> arrived_;

@@ -1,6 +1,5 @@
 #include "tilo/sim/engine.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 namespace tilo::sim {
@@ -15,20 +14,21 @@ double to_seconds(Time t) { return static_cast<double>(t) * 1e-9; }
 
 Engine::~Engine() {
   // Drop pending events without running them.
-  for (const Entry& ev : heap_) {
-    Slot& s = slot(ev.slot);
-    s.destroy(s);
-  }
+  queue_.for_each([this](const QueueEntry& ev) { drop(ev, false); });
+}
+
+void Engine::drop(const QueueEntry& ev, bool free) {
+  if ((ev.ref & 1) == 0) return;  // a coroutine: not the engine's to destroy
+  const auto idx = static_cast<std::uint32_t>(ev.ref >> 1);
+  Slot& s = slot(idx);
+  s.destroy(s);
+  if (free) free_slot(idx);
 }
 
 void Engine::reset() {
   TILO_REQUIRE(!running_, "Engine::reset while running");
-  for (const Entry& ev : heap_) {
-    Slot& s = slot(ev.slot);
-    s.destroy(s);
-    free_slot(ev.slot);
-  }
-  heap_.clear();
+  queue_.for_each([this](const QueueEntry& ev) { drop(ev, true); });
+  queue_.clear();
   now_ = 0;
   next_seq_ = 0;
   processed_ = 0;
@@ -49,19 +49,24 @@ void Engine::run() {
   running_ = true;
   const std::uint64_t processed_before = processed_;
   try {
-    while (!heap_.empty()) {
-      if (heap_.size() > 1)
-        std::pop_heap(heap_.begin(), heap_.end(), Later{});
-      const Entry ev = heap_.back();
-      heap_.pop_back();
-      now_ = ev.time;
+    while (!queue_.empty()) {
+      const QueueEntry& top = queue_.top();
+      now_ = top.time;
+      const std::uintptr_t ref = top.ref;
+      queue_.pop();
       ++processed_;
+      if ((ref & 1) == 0) {
+        std::coroutine_handle<>::from_address(reinterpret_cast<void*>(ref))
+            .resume();
+        continue;
+      }
       // One indirect call does move-out + destroy + free + invoke; the
       // slot is reclaimed exactly once (before the invoke, so handlers may
       // schedule into their own slot) whether the handler returns or
       // throws.  The chunked pool never relocates slots.
-      Slot& s = slot(ev.slot);
-      s.call(s, *this, ev.slot);
+      const auto idx = static_cast<std::uint32_t>(ref >> 1);
+      Slot& s = slot(idx);
+      s.call(s, *this, idx);
     }
   } catch (...) {
     running_ = false;

@@ -7,12 +7,13 @@
 // Hot-path layout (see DESIGN.md "Performance architecture"): callbacks are
 // stored type-erased in a chunked slot pool with small-buffer optimization
 // (no per-event heap allocation for callables up to kInlineBytes), and the
-// pending set is a binary heap of plain {time, seq, slot} records.  Heap
-// sift operations therefore move 24-byte PODs instead of std::function
-// objects, and slots are recycled through a free list.
+// pending set is an EventQueue of plain {time, seq, ref} records, so queue
+// operations move 24-byte PODs instead of std::function objects and slots
+// are recycled through a free list.  A coroutine handle needs no slot at
+// all: its frame address is the record's ref, resumed directly on pop.
 #pragma once
 
-#include <algorithm>
+#include <coroutine>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "tilo/obs/sink.hpp"
+#include "tilo/sim/event_queue.hpp"
 #include "tilo/util/error.hpp"
 #include "tilo/util/math.hpp"
 
@@ -48,13 +50,21 @@ class Engine {
 
   /// Schedules `fn` at absolute time `t` (>= now).  Accepts any callable;
   /// callables up to kInlineBytes are stored in the slot pool without a
-  /// heap allocation.
+  /// heap allocation.  A coroutine handle is stored in the queue record
+  /// itself and resumed straight from it; the engine never destroys it.
   template <typename F>
   void at(Time t, F&& fn) {
     TILO_REQUIRE(t >= now_, "scheduling into the past: ", t, " < ", now_);
-    const std::uint32_t idx = alloc_slot();
-    emplace_callable(slot(idx), std::forward<F>(fn), idx);
-    push_entry(t, idx);
+    if constexpr (std::is_convertible_v<F&&, std::coroutine_handle<>>) {
+      const std::coroutine_handle<> h = fn;
+      const auto ref = reinterpret_cast<std::uintptr_t>(h.address());
+      TILO_ASSERT(h && (ref & 1) == 0, "unschedulable coroutine handle");
+      push_entry(t, ref);
+    } else {
+      const std::uint32_t idx = alloc_slot();
+      emplace_callable(slot(idx), std::forward<F>(fn), idx);
+      push_entry(t, (std::uintptr_t{idx} << 1) | 1);
+    }
   }
 
   /// Schedules `fn` at now + dt (dt >= 0).
@@ -87,7 +97,7 @@ class Engine {
   std::uint64_t events_processed() const { return processed_; }
 
   /// Number of events currently pending.
-  std::size_t events_pending() const { return heap_.size(); }
+  std::size_t events_pending() const { return queue_.size(); }
 
   /// True while run() is draining the queue.
   bool running() const { return running_; }
@@ -113,21 +123,6 @@ class Engine {
   };
   static_assert(sizeof(Slot) == 64, "one slot = one cache line");
   static constexpr std::size_t kChunkSlots = 256;
-
-  // Pending-event record.  Ordered by (time, seq): seq is the monotone
-  // scheduling sequence number, which preserves the engine's documented
-  // equal-time tie-break exactly.
-  struct Entry {
-    Time time;
-    std::uint64_t seq;
-    std::uint32_t slot;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
 
   template <typename F>
   void emplace_callable(Slot& s, F&& fn, std::uint32_t idx) {
@@ -200,19 +195,22 @@ class Engine {
   }
   void grow_pool();
   void free_slot(std::uint32_t i) { free_.push_back(i); }
-  void push_entry(Time t, std::uint32_t idx) {
-    heap_.push_back(Entry{t, next_seq_++, idx});
-    // Size-1 fast path: sequential schedule-run-schedule chains (the most
-    // common simulation shape) never pay the sift call.
-    if (heap_.size() > 1) std::push_heap(heap_.begin(), heap_.end(), Later{});
+  // Queue records are ordered by (time, seq): seq is the monotone
+  // scheduling sequence number, which preserves the engine's documented
+  // equal-time tie-break exactly.  `ref` is a slot index shifted left with
+  // the low bit set, or an (even) coroutine frame address.
+  void push_entry(Time t, std::uintptr_t ref) {
+    queue_.push(t, next_seq_++, ref);
   }
+  /// Releases the callable behind a pending record without running it.
+  void drop(const QueueEntry& ev, bool free);
 
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
   bool running_ = false;
   obs::Sink* sink_ = nullptr;
-  std::vector<Entry> heap_;
+  EventQueue queue_;
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::vector<std::uint32_t> free_;
 };

@@ -292,6 +292,54 @@ TEST(ExecWorkspaceTest, ReuseAcrossNestsWithDifferentDependences) {
   }
 }
 
+TEST(ExecWorkspaceTest, ModelSwitchesDoNotReuseMemoizedCosts) {
+  // The cluster memoizes stage costs per run; a workspace reused across
+  // models must price every run with its own model.  Each run on the
+  // shared workspace must equal a fresh-workspace run field for field.
+  const core::Problem p = core::paper_problem_iii();
+  const mach::MachineParams& m = p.machine;
+  // Every link of the 4x4 grid gets its own wire cost and latency.
+  mach::HeteroConfig hetero;
+  for (int src = 0; src < 16; ++src)
+    for (int dst = 0; dst < 16; ++dst)
+      if (src != dst)
+        hetero.links.push_back({src, dst, (1 + (src + dst) % 3) * m.t_t,
+                                (1 + src % 2) * m.wire_latency});
+  const std::vector<std::shared_ptr<const mach::Model>> models = {
+      std::make_shared<mach::IdealOverlapModel>(m),
+      mach::make_model("interference", m),
+      std::make_shared<mach::HeteroLinkModel>(m, hetero),
+      mach::make_model("offload-dma", m),
+      std::make_shared<mach::IdealOverlapModel>(m),
+  };
+  for (auto kind : {ScheduleKind::kOverlap, ScheduleKind::kNonOverlap}) {
+    const TilePlan plan = p.plan(116, kind);
+    exec::RunWorkspace ws;
+    std::vector<sim::Time> completions;
+    for (const auto& model : models) {
+      const RunResult reused = exec::run_plan(p.nest, plan, model, {}, &ws);
+      const RunResult fresh = exec::run_plan(p.nest, plan, model);
+      EXPECT_EQ(reused.seconds, fresh.seconds) << model->kind();
+      EXPECT_EQ(reused.completion, fresh.completion) << model->kind();
+      EXPECT_EQ(reused.messages, fresh.messages) << model->kind();
+      EXPECT_EQ(reused.bytes, fresh.bytes) << model->kind();
+      EXPECT_EQ(reused.peak_inflight_bytes, fresh.peak_inflight_bytes)
+          << model->kind();
+      EXPECT_EQ(reused.halo_bytes, fresh.halo_bytes) << model->kind();
+      EXPECT_EQ(reused.events, fresh.events) << model->kind();
+      EXPECT_EQ(reused.alap_lower_bound, fresh.alap_lower_bound)
+          << model->kind();
+      EXPECT_EQ(reused.traffic, fresh.traffic) << model->kind();
+      EXPECT_EQ(reused.field.has_value(), fresh.field.has_value());
+      completions.push_back(reused.completion);
+    }
+    // The models really price differently, so a stale memo would show.
+    EXPECT_NE(completions[1], completions[0]);
+    EXPECT_NE(completions[2], completions[0]);
+    EXPECT_EQ(completions[4], completions[0]);
+  }
+}
+
 TEST(ExecErrorTest, MismatchedDomainRejected) {
   const LoopNest nest_a = loop::stencil3d_nest(8, 8, 16);
   const LoopNest nest_b = loop::stencil3d_nest(8, 8, 32);

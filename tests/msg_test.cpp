@@ -3,11 +3,18 @@
 // models.  Timings are verified against hand-computed stage sums.
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <map>
 #include <memory>
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include "tilo/msg/cluster.hpp"
 #include "tilo/msg/endpoint.hpp"
+#include "tilo/msg/match_table.hpp"
 #include "tilo/trace/timeline.hpp"
+#include "tilo/util/rng.hpp"
 
 using namespace tilo;
 using mach::AffineCost;
@@ -210,6 +217,114 @@ TEST(MatchingTest, SameTagFifoWithinKey) {
   ASSERT_TRUE(h1->ready && h2->ready);
   EXPECT_DOUBLE_EQ((*h1->payload.data)[0], 1.0);
   EXPECT_DOUBLE_EQ((*h2->payload.data)[0], 2.0);
+}
+
+TEST(MatchingTest, FifoWithinKeyWhenKeysInterleave) {
+  Cluster c(3, test_model());
+  // Arrivals alternate between two tags and two sources; each message's
+  // size records its order within its key.
+  c.engine().at(0, [&] {
+    for (int i = 0; i < 4; ++i) {
+      c.node(0).isend(2, 7, 100 + i);
+      c.node(0).isend(2, 8, 200 + i);
+      c.node(1).isend(2, 7, 300 + i);
+    }
+  });
+  c.run();
+  EXPECT_EQ(c.node(2).pending_entries(), 12u);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(c.node(2).irecv(1, 7)->bytes, 300 + i);
+    EXPECT_EQ(c.node(2).irecv(0, 8)->bytes, 200 + i);
+    EXPECT_EQ(c.node(2).irecv(0, 7)->bytes, 100 + i);
+  }
+  EXPECT_EQ(c.node(2).pending_entries(), 0u);
+}
+
+TEST(MatchTableTest, FifoWithinKeyWhenKeysInterleave) {
+  msg::MatchTable<int> t;
+  const std::vector<std::pair<int, i64>> keys = {{0, 1}, {0, 2}, {1, 1}};
+  for (int i = 0; i < 5; ++i)
+    for (std::size_t k = 0; k < keys.size(); ++k)
+      t.push(keys[k], static_cast<int>(10 * k) + i);
+  EXPECT_EQ(t.size(), 15u);
+  EXPECT_EQ(*t.find_if(keys[1], [](int v) { return v > 11; }), 12);
+  for (int i = 0; i < 5; ++i)
+    for (std::size_t k = keys.size(); k-- > 0;)
+      EXPECT_EQ(t.pop(keys[k]), std::optional<int>(static_cast<int>(10 * k) + i));
+  EXPECT_TRUE(t.empty());
+  EXPECT_EQ(t.pop(keys[0]), std::nullopt);
+  EXPECT_EQ(t.find_if(keys[0], [](int) { return true; }), nullptr);
+}
+
+TEST(MatchTableTest, GrowsThroughRehashesWithLiveEntries) {
+  // Thousands of keys live at once (several rehashes), with pops mixed in
+  // so deletions shift probe runs; every key stays FIFO against a
+  // std::map<key, deque> reference.
+  msg::MatchTable<i64> t;
+  std::map<std::pair<int, i64>, std::deque<i64>> ref;
+  util::Rng rng(11);
+  i64 next = 0;
+  std::size_t live = 0;
+  for (int step = 0; step < 40000; ++step) {
+    const std::pair<int, i64> key{static_cast<int>(rng.uniform(0, 15)),
+                                  rng.uniform(0, 600)};
+    if (rng.chance(0.6)) {
+      t.push(key, next);
+      ref[key].push_back(next++);
+      ++live;
+    } else {
+      std::deque<i64>& q = ref[key];
+      const std::optional<i64> got = t.pop(key);
+      if (q.empty()) {
+        ASSERT_EQ(got, std::nullopt) << "step " << step;
+      } else {
+        ASSERT_EQ(got, std::optional<i64>(q.front())) << "step " << step;
+        q.pop_front();
+        --live;
+      }
+    }
+    ASSERT_EQ(t.size(), live);
+  }
+  EXPECT_GT(live, 5000u);
+  for (auto& [key, q] : ref)
+    for (const i64 v : q) ASSERT_EQ(t.pop(key), std::optional<i64>(v));
+  EXPECT_TRUE(t.empty());
+}
+
+TEST(MatchTableTest, ClearEmptiesAndTableStaysUsable) {
+  msg::MatchTable<std::shared_ptr<int>> t;
+  auto held = std::make_shared<int>(1);
+  for (i64 tag = 0; tag < 100; ++tag) t.push({0, tag}, held);
+  EXPECT_EQ(held.use_count(), 101);
+  t.clear();
+  EXPECT_TRUE(t.empty());
+  EXPECT_EQ(held.use_count(), 1);  // cleared entries release what they held
+  for (i64 tag = 0; tag < 100; ++tag) EXPECT_EQ(t.pop({0, tag}), std::nullopt);
+  t.push({0, 3}, held);
+  EXPECT_EQ(*t.pop({0, 3}).value(), 1);
+}
+
+TEST(ClusterTest, ResetLeavesEveryMatchTableEmpty) {
+  Cluster c(3, test_model(), OverlapLevel::kDma, Network::kSwitched, nullptr,
+            msg::Protocol::kRendezvous);
+  c.engine().at(0, [&] {
+    c.node(0).isend(1, 1, 8);  // rendezvous: parks at node 1
+  });
+  c.node(2).irecv(0, 2);       // posted, never sent
+  c.run();
+  EXPECT_EQ(c.node(1).pending_entries(), 1u);
+  EXPECT_EQ(c.node(2).pending_entries(), 1u);
+  c.reset(3, test_model());
+  for (int r = 0; r < 3; ++r) EXPECT_EQ(c.node(r).pending_entries(), 0u);
+
+  // Eager: an unmatched arrival, then reset — the old message must not
+  // satisfy a receive posted after the reset.
+  c.engine().at(0, [&] { c.node(0).isend(1, 1, 8); });
+  c.run();
+  EXPECT_EQ(c.node(1).pending_entries(), 1u);
+  c.reset(3, test_model());
+  for (int r = 0; r < 3; ++r) EXPECT_EQ(c.node(r).pending_entries(), 0u);
+  EXPECT_FALSE(c.node(1).irecv(0, 1)->ready);
 }
 
 TEST(BlockingPathTest, DeliversAfterLatencyOnly) {

@@ -3,6 +3,9 @@
 // never better than eager).
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "tilo/exec/run.hpp"
 #include "tilo/loopnest/workloads.hpp"
 #include "tilo/msg/cluster.hpp"
@@ -104,6 +107,36 @@ TEST(RendezvousTest, TwoSendersFifoPerKey) {
   ASSERT_EQ(got.size(), 2u);
   EXPECT_DOUBLE_EQ(got[0], 1.0);
   EXPECT_DOUBLE_EQ(got[1], 2.0);
+}
+
+TEST(RendezvousTest, GrantsGoToTheOldestUngrantedReceive) {
+  // Three receives posted on one key; two request-to-sends reach node 1
+  // at 5 us, before either message's data.  The second RTS must skip the
+  // already-granted first receive and grant the second; the third stays
+  // ungranted until a third sender arrives.
+  Cluster c(2, round_model(), mach::OverlapLevel::kDma,
+            msg::Network::kSwitched, nullptr, Protocol::kRendezvous);
+  std::vector<std::shared_ptr<msg::RecvHandle>> h;
+  for (int i = 0; i < 3; ++i) h.push_back(c.node(1).irecv(0, 5));
+  c.engine().at(0, [&] {
+    c.node(0).isend(1, 5, 100);
+    c.node(0).isend(1, 5, 200);
+  });
+  bool checked = false;
+  c.engine().at(6 * kUs, [&] {
+    EXPECT_TRUE(h[0]->granted && h[1]->granted);
+    EXPECT_FALSE(h[2]->granted);
+    EXPECT_FALSE(h[0]->ready || h[1]->ready);
+    checked = true;
+  });
+  c.engine().at(1000 * kUs, [&] { c.node(0).isend(1, 5, 300); });
+  c.run();
+  EXPECT_TRUE(checked);
+  EXPECT_EQ(h[0]->bytes, 100);
+  EXPECT_EQ(h[1]->bytes, 200);
+  EXPECT_TRUE(h[2]->granted && h[2]->ready);
+  EXPECT_EQ(h[2]->bytes, 300);
+  EXPECT_EQ(c.node(1).pending_entries(), 0u);
 }
 
 TEST(RendezvousTest, ExecutorStillComputesCorrectly) {

@@ -39,7 +39,7 @@ constexpr const char* kQuickSource =
     "FOR i = 0 TO 15\n FOR j = 0 TO 255\n"
     "  Q(i, j) = 0.5 * (Q(i-1, j) + Q(i, j-1))\n ENDFOR\nENDFOR\n";
 constexpr const char* kSlowSource =
-    "FOR i = 0 TO 255\n FOR j = 0 TO 65535\n"
+    "FOR i = 0 TO 255\n FOR j = 0 TO 131071\n"
     "  S(i, j) = 0.5 * (S(i-1, j) + S(i, j-1))\n ENDFOR\nENDFOR\n";
 
 svc::CompileParams quick_params(std::string name = "quick") {
@@ -57,7 +57,7 @@ svc::CompileParams slow_params() {
   p.source = kSlowSource;
   p.procs = tilo::lat::Vec(std::vector<i64>{8, 1});
   p.height = 2;
-  p.simulate = true;  // the simulation is what makes this slow (~200 ms)
+  p.simulate = true;  // the simulation is what makes this slow (~200-300 ms)
   return p;
 }
 
