@@ -1,6 +1,7 @@
 // Sweep-orchestration throughput: how many V-sweep points (and simulator
 // events) per wall-second the host sustains on the paper's experiment (i)
-// space, serial versus thread-pooled, with and without the plan cache.
+// space, serial versus thread-pooled, and exhaustive versus pruned
+// selection.
 //
 // Prints a human-readable table plus one JSON object per configuration
 // (lines starting with '{'), e.g.
@@ -27,7 +28,6 @@
 
 #include "common.hpp"
 #include "tilo/core/parallel.hpp"
-#include "tilo/core/plancache.hpp"
 #include "tilo/obs/registry.hpp"
 #include "tilo/obs/report.hpp"
 #include "tilo/sim/engine.hpp"
@@ -62,7 +62,6 @@ Measurement measure(const core::Problem& problem,
 struct ConfigResult {
   std::string mode;
   int threads = 1;
-  bool cached = false;
   Measurement m;
 };
 
@@ -129,7 +128,7 @@ void report(const ConfigResult& c) {
   const double pps = static_cast<double>(m.points) / m.wall_seconds;
   const double eps = static_cast<double>(m.events) / m.wall_seconds;
   std::cout << "  " << c.mode << " (threads=" << c.threads
-            << (c.cached ? ", plan cache" : "") << "): " << m.points
+            << "): " << m.points
             << " points, " << m.events << " events in "
             << util::fmt_fixed(m.wall_seconds, 3) << " s  ->  "
             << util::fmt_fixed(pps, 1) << " points/s, "
@@ -139,7 +138,6 @@ void report(const ConfigResult& c) {
       .str("space", "i")
       .str("mode", c.mode)
       .num("threads", static_cast<i64>(c.threads))
-      .boolean("plan_cache", c.cached)
       .num("points", static_cast<i64>(m.points))
       .num("events", m.events)
       .num("wall_seconds", m.wall_seconds)
@@ -194,7 +192,6 @@ void write_bench_report(const std::string& path,
           static_cast<double>(c.m.events) / c.m.wall_seconds;
       line.str("mode", c.mode)
           .num("threads", static_cast<i64>(c.threads))
-          .boolean("plan_cache", c.cached)
           .num("points", static_cast<i64>(c.m.points))
           .num("events", c.m.events)
           .num("wall_seconds", c.m.wall_seconds)
@@ -314,31 +311,18 @@ int main(int argc, char** argv) {
 
   std::vector<ConfigResult> configs;
 
-  // Serial baseline (one worker, plans built per point).
-  configs.reserve(3);
-  configs.push_back({"serial", 1, false,
-                     measure(problem, heights, {})});
+  // Serial baseline (one worker).
+  configs.push_back({"serial", 1, measure(problem, heights, {})});
   report(configs.back());
 
-  // Serial with the plan cache (isolates the caching win).
-  core::PlanCache serial_cache;
-  core::SweepOptions cached_opts;
-  cached_opts.plan_cache = &serial_cache;
-  configs.push_back({"serial", 1, true,
-                     measure(problem, heights, cached_opts)});
-  report(configs.back());
-
-  // Thread-pooled with the plan cache.
-  core::PlanCache par_cache;
+  // Thread-pooled.
   core::SweepOptions par_opts;
   par_opts.threads = par_threads;
-  par_opts.plan_cache = &par_cache;
-  configs.push_back({"parallel", par_threads, true,
+  configs.push_back({"parallel", par_threads,
                      measure(problem, heights, par_opts)});
   report(configs.back());
 
-  if (!identical(configs[0].m.pts, configs[1].m.pts) ||
-      !identical(configs[0].m.pts, configs[2].m.pts)) {
+  if (!identical(configs[0].m.pts, configs[1].m.pts)) {
     std::cerr << "FAIL: configurations disagree on sweep results\n";
     return 1;
   }
@@ -367,11 +351,11 @@ int main(int argc, char** argv) {
     return reps[reps.size() / 2];
   };
   const SelectResult exhaustive = median_wall(ex_reps);
-  configs.push_back({"select-exhaustive", 1, false, exhaustive.m});
+  configs.push_back({"select-exhaustive", 1, exhaustive.m});
   report(configs.back());
 
   const SelectResult pruned = median_wall(pruned_reps);
-  configs.push_back({"pruned", 1, false, pruned.m});
+  configs.push_back({"pruned", 1, pruned.m});
   report(configs.back());
 
   PruneSummary prune;

@@ -94,24 +94,22 @@ def check_sweep(doc):
     quick = bool(doc.get("quick", False))
 
     configs = doc.get("configs")
-    require(isinstance(configs, list) and len(configs) >= 5,
-            "need >= 5 configs (serial, cached, parallel, "
-            "select-exhaustive, pruned)")
+    require(isinstance(configs, list) and len(configs) >= 4,
+            "need >= 4 configs (serial, parallel, select-exhaustive, "
+            "pruned)")
     for c in configs:
-        for key in ("mode", "threads", "plan_cache", "points", "events",
+        for key in ("mode", "threads", "points", "events",
                     "wall_seconds", "points_per_sec", "events_per_sec"):
             require(key in c, f"configs[].{key} missing")
         require(c["points"] > 0 and c["events"] > 0, "empty measurement")
         require(c["wall_seconds"] > 0, "non-positive wall time")
     modes = {c["mode"] for c in configs}
-    for mode in ("serial", "select-exhaustive", "pruned"):
+    for mode in ("serial", "parallel", "select-exhaustive", "pruned"):
         require(mode in modes, f"config mode {mode!r} missing")
     engine_eps = doc.get("engine_events_per_sec")
     require(isinstance(engine_eps, (int, float)) and engine_eps > 0,
             "engine_events_per_sec missing")
-    serial = next((c for c in configs
-                   if c["mode"] == "serial" and not c["plan_cache"]), None)
-    require(serial is not None, "uncached serial config missing")
+    serial = next(c for c in configs if c["mode"] == "serial")
     run_engine_ratio = serial["events_per_sec"] / engine_eps
     if not quick:
         require(run_engine_ratio >= RUN_ENGINE_MIN_RATIO,

@@ -1,9 +1,10 @@
 // A thread-safe cache of built TilePlans keyed by (tile height V, schedule
-// kind).  Sweeps and the autotuner hit the same heights repeatedly (the
-// overlap/non-overlap pair at each V, the refinement pass around the coarse
-// optimum); building the plan re-enumerates tile geometry each time, so
-// caching it is pure win.  Plans are immutable once built and shared by
-// const pointer.
+// kind).  pipeline::Compiler, the svc server and scenario compiles lower
+// the same (problem, V, kind) repeatedly across requests and workloads;
+// building the plan re-enumerates tile geometry each time, so they share
+// one cache.  Sweeps do not use it: each sweep point builds its overlap
+// plan once and derives the non-overlap plan by flipping the kind.  Plans
+// are immutable once built and shared by const pointer.
 #pragma once
 
 #include <cstdint>
@@ -32,8 +33,7 @@ namespace tilo::core {
 /// Compiler invocation) without cross-talk between problems.
 ///
 /// Either way the cache must outlive every call it is passed to
-/// (SweepOptions::plan_cache and pipeline::CompileOptions::plan_cache are
-/// raw pointers).
+/// (pipeline::CompileOptions::plan_cache is a raw pointer).
 class PlanCache {
  public:
   enum class Scope {

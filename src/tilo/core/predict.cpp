@@ -25,12 +25,12 @@ mach::StepShape steady_step_shape(const TilePlan& plan,
     shape.working_set_bytes = cells * params.bytes_per_element;
   }
   const i64 self = plan.mapping.rank_of_tile(mid);
-  for (const exec::TileComm& out : exec::outgoing(space, mid, false)) {
+  for (const exec::TileComm& out : exec::outgoing(space, mid)) {
     if (plan.mapping.rank_of_tile(mid + out.offset) == self) continue;
     shape.send_bytes.push_back(
         util::checked_mul(out.points, params.bytes_per_element));
   }
-  for (const exec::TileComm& in : exec::incoming(space, mid, false)) {
+  for (const exec::TileComm& in : exec::incoming(space, mid)) {
     if (plan.mapping.rank_of_tile(mid - in.offset) == self) continue;
     shape.recv_bytes.push_back(
         util::checked_mul(in.points, params.bytes_per_element));

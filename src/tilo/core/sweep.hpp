@@ -16,8 +16,6 @@
 
 namespace tilo::core {
 
-class PlanCache;
-
 /// One sweep sample.
 struct SweepPoint {
   i64 V = 0;            ///< tile height
@@ -50,9 +48,6 @@ struct SweepOptions {
   /// 0 = all hardware threads, n = exactly n.  Results are byte-identical
   /// for every value.
   int threads = 1;
-  /// Optional shared plan cache (see PlanCache); must outlive the call and
-  /// belong to the same Problem.  nullptr = build plans per point.
-  PlanCache* plan_cache = nullptr;
   /// Optional observer: forwarded into every run (simulated phase spans,
   /// run counters) and fed wall-clock host spans for each sweep point /
   /// autotune probe (lane = worker thread).  With threads != 1 the sink

@@ -44,7 +44,7 @@ double critical_path_lower_bound(const TilePlan& plan,
     }
 
     // Producers: cheapest conceivable pipeline (no CPU fills, no queueing).
-    const std::vector<TileComm> ins = incoming(space, t, false);
+    const std::vector<TileComm> ins = incoming(space, t);
     for (const TileComm& in : ins) {
       const Vec src = t - in.offset;
       const double src_finish =

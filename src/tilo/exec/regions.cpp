@@ -101,24 +101,18 @@ i64 region_bytes(const std::vector<CommRegion>& regions,
   return util::checked_mul(region_points(regions), bytes_per_element);
 }
 
-std::vector<TileComm> outgoing(const tile::TiledSpace& space, const Vec& t,
-                               bool with_regions) {
+std::vector<TileComm> outgoing(const tile::TiledSpace& space, const Vec& t) {
   std::vector<TileComm> out;
   const auto& deps = space.tile_deps();
   for (std::size_t i = 0; i < deps.size(); ++i) {
     const i64 pts = comm_points(space, t, deps[i]);
     if (pts == 0) continue;  // every region empty: no message
-    out.push_back(TileComm{
-        deps[i],
-        with_regions ? comm_regions(space, t, deps[i])
-                     : std::vector<CommRegion>{},
-        pts, i});
+    out.push_back(TileComm{deps[i], pts, i});
   }
   return out;
 }
 
-std::vector<TileComm> incoming(const tile::TiledSpace& space, const Vec& t,
-                               bool with_regions) {
+std::vector<TileComm> incoming(const tile::TiledSpace& space, const Vec& t) {
   std::vector<TileComm> in;
   const auto& deps = space.tile_deps();
   for (std::size_t i = 0; i < deps.size(); ++i) {
@@ -126,11 +120,7 @@ std::vector<TileComm> incoming(const tile::TiledSpace& space, const Vec& t,
     if (!space.tile_space().contains(t_src)) continue;
     const i64 pts = comm_points(space, t_src, deps[i]);
     if (pts == 0) continue;
-    in.push_back(TileComm{
-        deps[i],
-        with_regions ? comm_regions(space, t_src, deps[i])
-                     : std::vector<CommRegion>{},
-        pts, i});
+    in.push_back(TileComm{deps[i], pts, i});
   }
   return in;
 }

@@ -38,25 +38,21 @@ i64 region_points(const std::vector<CommRegion>& regions);
 i64 region_bytes(const std::vector<CommRegion>& regions,
                  int bytes_per_element);
 
-/// Per-tile communication summary used by the cost model and benches.
+/// Per-tile communication summary used by the cost model and benches.  The
+/// value regions behind it come from comm_regions() on demand.
 struct TileComm {
   Vec offset;                     ///< tile-space direction e
-  std::vector<CommRegion> regions;
-  i64 points = 0;                 ///< region_points(regions)
+  i64 points = 0;                 ///< region_points of the region list
   std::size_t dir = 0;            ///< index of `offset` in tile_deps()
 };
 
 /// All outgoing messages of tile t (one entry per tile dependence with a
-/// nonempty region list), regardless of processor placement.  With
-/// `with_regions` false each entry's `regions` stays empty (its `points`
-/// is still exact) and no box is built — the summary timed runs and cost
-/// predictions need.
-std::vector<TileComm> outgoing(const tile::TiledSpace& space, const Vec& t,
-                               bool with_regions = true);
+/// nonempty region list), regardless of processor placement.  No region
+/// box is built.
+std::vector<TileComm> outgoing(const tile::TiledSpace& space, const Vec& t);
 
 /// All incoming messages of tile t: offsets e such that t - e exists and
-/// ships a nonempty region list to t.  `with_regions` as for outgoing().
-std::vector<TileComm> incoming(const tile::TiledSpace& space, const Vec& t,
-                               bool with_regions = true);
+/// ships a nonempty region list to t.
+std::vector<TileComm> incoming(const tile::TiledSpace& space, const Vec& t);
 
 }  // namespace tilo::exec

@@ -1,10 +1,9 @@
 #include "tilo/exec/run.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <coroutine>
-#include <cstdint>
 #include <limits>
-#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -53,23 +52,19 @@ i64 working_set_cells(const loop::DependenceSet& deps, const Box& box) {
 
 /// Per-tile communication geometry for one tiled space, built once and
 /// reused across runs (the overlap and non-overlap schedules at one tile
-/// height share it).
+/// height share it, and so do timed and functional runs).
 ///
-/// Timed runs only read the (offset, points, dir) summaries and the tile's
-/// volume and working set, and those are translation-invariant: every tile
-/// with the same boundary profile (at the low edge / at the high edge /
-/// adjacent to a clipped high-edge tile, per dimension) has a
-/// byte-identical summary.  So the timed table stores one entry per
-/// *equivalence class* (≤ 8^dims classes, a few dozen in practice) plus a
-/// per-tile class id — turning the per-point sweep setup from
-/// O(tiles × geometry) into O(classes × geometry + tiles).  Functional runs
-/// need absolute region boxes, so there every tile is its own class.  Above
-/// the caps the table is not materialized and lookups fall back to
-/// computing geometry on the fly, bounding memory.
+/// The runs read the (offset, points, dir) summaries and the tile's volume
+/// and working set, and those are translation-invariant: every tile with
+/// the same boundary profile (per dimension: at the low edge, at the high
+/// edge, adjacent to a clipped high-edge tile, or interior) has a
+/// byte-identical summary.  The tile space is a box, so the classes that
+/// occur are the Cartesian product of each dimension's occurring profiles
+/// (at most 4 per dimension: min(extent, 4)).  The table holds one entry
+/// per class, built from its lowest tile in linear order, indexed mixed
+/// radix; the per-point setup costs O(classes × geometry), independent of
+/// the tile count.
 struct CommTable {
-  static constexpr i64 kMaxTiles = i64{1} << 16;         // with regions
-  static constexpr i64 kMaxClassedTiles = i64{1} << 22;  // timed
-
   /// One class of tiles sharing their comm lists, volume and working set.
   struct TileClass {
     std::vector<TileComm> in, out;
@@ -82,91 +77,73 @@ struct CommTable {
   lat::Vec sides;
   Box domain;
   std::vector<Vec> deps;
-  bool with_regions = false;
   bool valid = false;
-  bool passthrough = false;
-  std::vector<std::uint16_t> tile_class;  // by linear tile index
+  Vec lo, hi;                   // tile space bounds
+  std::vector<i64> count;       // per dimension: occurring profiles
+  std::vector<std::size_t> radix;  // per dimension: class-index stride
   std::vector<TileClass> classes;
 
-  bool matches(const tile::TiledSpace& space, bool regions_needed) const {
-    return valid && (with_regions || !regions_needed) &&
-           sides == space.tiling().sides() && domain == space.domain() &&
-           deps == space.deps().vectors();
+  bool matches(const tile::TiledSpace& space) const {
+    return valid && sides == space.tiling().sides() &&
+           domain == space.domain() && deps == space.deps().vectors();
   }
 
-  void build(const tile::TiledSpace& space, bool regions_needed) {
+  /// Profile of coordinate c along dimension d: 0 at the low edge,
+  /// count-1 at the high edge, count-2 just before it, 1 in the interior.
+  std::size_t profile(std::size_t d, i64 c) const {
+    const i64 n = count[d];
+    const i64 p = c == lo[d]       ? 0
+                  : c == hi[d]     ? n - 1
+                  : c + 1 == hi[d] ? n - 2
+                                   : 1;
+    return static_cast<std::size_t>(p);
+  }
+
+  /// Class-index contribution of every coordinate of `col` but dimension
+  /// `md`; tile k of the column is class base + profile(md, k)·radix[md].
+  std::size_t column_base(const Vec& col, std::size_t md) const {
+    std::size_t base = 0;
+    for (std::size_t d = 0; d < col.size(); ++d)
+      if (d != md) base += profile(d, col[d]) * radix[d];
+    return base;
+  }
+
+  void build(const tile::TiledSpace& space) {
     valid = false;
     sides = space.tiling().sides();
     domain = space.domain();
     deps = space.deps().vectors();
-    with_regions = regions_needed;
-    tile_class.clear();
-    classes.clear();
-    passthrough =
-        space.num_tiles() > (regions_needed ? kMaxTiles : kMaxClassedTiles);
-    if (passthrough) {
-      valid = true;
-      return;
-    }
     const Box& ts = space.tile_space();
-    tile_class.assign(static_cast<std::size_t>(space.num_tiles()), 0);
-    std::map<std::uint64_t, std::uint16_t> ids;
-    // for_each_tile visits tiles in linear-index order, and runs of
-    // consecutive tiles (interior ones above all) share a class.
-    std::size_t idx = 0;
-    std::uint64_t last_key = ~std::uint64_t{0};
-    std::uint16_t last_id = 0;
-    space.for_each_tile([&](const Vec& t) {
-      // Class key: per dimension, whether the tile sits at the low edge,
-      // the high edge, or immediately before the high edge (whose tile may
-      // be clipped by the domain).  Everything else is "interior" and the
-      // comm summary is a pure translate.
-      std::uint64_t key = idx;
-      if (!regions_needed) {
-        key = 0;
-        for (std::size_t d = 0; d < t.size(); ++d) {
-          const i64 c = t[d];
-          const std::uint64_t code =
-              static_cast<std::uint64_t>(c == ts.lo()[d]) |
-              (static_cast<std::uint64_t>(c == ts.hi()[d]) << 1) |
-              (static_cast<std::uint64_t>(c + 1 == ts.hi()[d]) << 2);
-          key = key * 8 + code;
-        }
+    const std::size_t dims = ts.dims();
+    lo = ts.lo();
+    hi = ts.hi();
+    count.assign(dims, 1);
+    radix.assign(dims, 1);
+    std::size_t total = 1;
+    for (std::size_t d = dims; d-- > 0;) {
+      count[d] = std::min<i64>(ts.extent(d), 4);
+      radix[d] = total;
+      total *= static_cast<std::size_t>(count[d]);
+    }
+    classes.clear();
+    classes.reserve(total);
+    Vec t(dims);
+    for (std::size_t c = 0; c < total; ++c) {
+      // The lowest coordinate of each profile: lo, lo+1, hi-1, hi.
+      for (std::size_t d = 0; d < dims; ++d) {
+        const i64 p = static_cast<i64>(c / radix[d]) % count[d];
+        t[d] = p == 0 ? lo[d]
+             : p == count[d] - 1 ? hi[d]
+             : p == count[d] - 2 ? hi[d] - 1
+                                 : lo[d] + 1;
       }
-      if (key != last_key) {
-        auto [it, fresh] = ids.try_emplace(
-            key, static_cast<std::uint16_t>(classes.size()));
-        if (fresh) {
-          TILO_ASSERT(classes.size() < (std::size_t{1} << 16),
-                      "comm-table class id overflow");
-          classes.push_back(make_class(space, t, regions_needed));
-        }
-        last_key = key;
-        last_id = it->second;
-      }
-      tile_class[idx++] = last_id;
-    });
+      const Box box = space.tile_iterations(t);
+      classes.push_back(TileClass{incoming(space, t), outgoing(space, t),
+                                  box.volume(),
+                                  working_set_cells(space.deps(), box)});
+    }
     valid = true;
   }
-
- private:
-  static TileClass make_class(const tile::TiledSpace& space, const Vec& t,
-                              bool with_regions) {
-    const Box box = space.tile_iterations(t);
-    return TileClass{incoming(space, t, with_regions),
-                     outgoing(space, t, with_regions), box.volume(),
-                     working_set_cells(space.deps(), box)};
-  }
-};
-
-/// A comm list for one tile: a borrowed view of the table entry, or (in
-/// passthrough mode) an owned freshly-computed list.  Named locals of this
-/// type keep owned lists alive across coroutine suspension points.
-struct CommView {
-  std::vector<TileComm> owned;
-  const std::vector<TileComm>* list = nullptr;
-
-  const std::vector<TileComm>& items() const { return *list; }
 };
 
 /// Run context shared by the rank programs.  Programs walk each owned tile
@@ -174,7 +151,7 @@ struct CommView {
 /// col_lin + (k - klo)·stride, the neighbour along tile direction e is
 /// lin ∓ delta[e], and its message tag is (consumer lin)·ndirs + e.  Tile
 /// coordinates are only materialized for the TileCostModel hook and for
-/// functional or passthrough runs.
+/// functional runs.
 struct Ctx {
   const loop::LoopNest* nest = nullptr;
   const TilePlan* plan = nullptr;
@@ -206,41 +183,31 @@ struct Ctx {
                              static_cast<i64>(dir));
   }
 
-  /// Inbound (or outbound) comm list of tile k of column `col`.
-  CommView comms(const Vec& col, i64 k, i64 lin, bool outbound) const {
-    CommView v;
-    if (comm->passthrough) {
-      const Vec t = tile(col, k);
-      v.owned = outbound ? outgoing(plan->space, t, comm->with_regions)
-                         : incoming(plan->space, t, comm->with_regions);
-      v.list = &v.owned;
-    } else {
-      const CommTable::TileClass& c =
-          comm->classes[comm->tile_class[static_cast<std::size_t>(lin)]];
-      v.list = outbound ? &c.out : &c.in;
-    }
-    return v;
+  /// Class of tile k of the column whose class base is `base`.
+  const CommTable::TileClass& tile_class(std::size_t base, i64 k) const {
+    return comm->classes[base + comm->profile(md, k) * comm->radix[md]];
+  }
+
+  /// Inbound (or outbound) comm list of tile k of the column at `base`.
+  const std::vector<TileComm>& comms(std::size_t base, i64 k,
+                                     bool outbound) const {
+    const CommTable::TileClass& c = tile_class(base, k);
+    return outbound ? c.out : c.in;
   }
 
   /// CPU time of tile k of column `col`: its iterations (the full box
   /// volume, or the TileCostModel's refinement for non-uniform workloads)
   /// over its working set.
-  sim::Time compute_ns(const Vec& col, i64 k, i64 lin) const {
-    i64 iterations = 0;
-    i64 cells = 0;
-    if (!comm->passthrough && !opts.tile_costs) {
-      const CommTable::TileClass& c =
-          comm->classes[comm->tile_class[static_cast<std::size_t>(lin)]];
-      iterations = c.volume;
-      cells = c.ws_cells;
-    } else {
+  sim::Time compute_ns(const Vec& col, std::size_t base, i64 k) const {
+    const CommTable::TileClass& c = tile_class(base, k);
+    i64 iterations = c.volume;
+    if (opts.tile_costs) {
       const Vec t = tile(col, k);
-      const Box box = plan->space.tile_iterations(t);
-      iterations = opts.tile_costs ? opts.tile_costs->tile_iterations(t, box)
-                                   : box.volume();
-      cells = working_set_cells(plan->space.deps(), box);
+      iterations = opts.tile_costs->tile_iterations(
+          t, plan->space.tile_iterations(t));
     }
-    return cluster->compute_ns(iterations, util::checked_mul(cells, bpe));
+    return cluster->compute_ns(iterations,
+                               util::checked_mul(c.ws_cells, bpe));
   }
 
   /// Bytes of the message for comm record `c` of tile k of column `col`;
@@ -368,13 +335,14 @@ RankProgram blocking_program(Ctx& ctx, int rank) {
   std::vector<int> owners;
   for (const Vec& col : columns) {
     const i64 col_lin = ctx.column_owners(col, owners);
+    const std::size_t base = ctx.comm->column_base(col, ctx.md);
     for (i64 k = ctx.klo; k <= ctx.khi; ++k) {
       const i64 lin = col_lin + (k - ctx.klo) * ctx.stride;
 
       // Receive phase: block until each message is on the wire-side done,
       // then pay the receive pipeline on the CPU (no overlap, Fig. 7).
-      const CommView ins = ctx.comms(col, k, lin, false);
-      for (const TileComm& in : ins.items()) {
+      const std::vector<TileComm>& ins = ctx.comms(base, k, false);
+      for (const TileComm& in : ins) {
         const int src_rank = owners[in.dir];
         if (src_rank == rank) continue;
         auto h = ep.irecv(src_rank, ctx.tag(lin, in.dir));
@@ -386,19 +354,23 @@ RankProgram blocking_program(Ctx& ctx, int rank) {
                           obs::Phase::kKernelRecv};
         co_await CpuAwait{ep, ctx.cluster->fill_mpi_ns(bytes),
                           obs::Phase::kFillMpiRecv};
-        if (ctx.opts.functional) apply_payload(rs, in.regions, h->payload);
+        if (ctx.opts.functional)
+          apply_payload(rs,
+                        comm_regions(ctx.plan->space,
+                                     ctx.tile(col, k) - in.offset, in.offset),
+                        h->payload);
       }
 
       // Compute phase.
-      co_await CpuAwait{ep, ctx.compute_ns(col, k, lin),
+      co_await CpuAwait{ep, ctx.compute_ns(col, base, k),
                         obs::Phase::kCompute};
       if (ctx.opts.functional)
         compute_tile_values(ctx, rs,
                             ctx.plan->space.tile_iterations(ctx.tile(col, k)));
 
       // Send phase: the whole send pipeline runs on the CPU.
-      const CommView outs = ctx.comms(col, k, lin, true);
-      for (const TileComm& out : outs.items()) {
+      const std::vector<TileComm>& outs = ctx.comms(base, k, true);
+      for (const TileComm& out : outs) {
         const int dst_rank = owners[static_cast<std::size_t>(ctx.ndirs) +
                                     out.dir];
         if (dst_rank == rank) continue;
@@ -410,7 +382,9 @@ RankProgram blocking_program(Ctx& ctx, int rank) {
         co_await CpuAwait{ep, ctx.cluster->half_wire_ns(bytes),
                           obs::Phase::kWire};
         msg::Payload payload;
-        if (ctx.opts.functional) payload = encode_payload(rs, out.regions);
+        if (ctx.opts.functional)
+          payload = encode_payload(
+              rs, comm_regions(ctx.plan->space, ctx.tile(col, k), out.offset));
         ep.post_blocking(dst_rank, ctx.tag(lin + ctx.delta[out.dir], out.dir),
                          bytes, std::move(payload));
       }
@@ -419,9 +393,12 @@ RankProgram blocking_program(Ctx& ctx, int rank) {
   ++ctx.completed_ranks;
 }
 
-/// The paper's nonblocking ProcNB program (Section 5 pseudocode): at step k
-/// send the results of tile k-1, post receives for tile k+1, compute tile k,
-/// then wait on all handles — the pipelined overlapping schedule of Fig. 2.
+/// The paper's nonblocking ProcNB program (Section 5 pseudocode), one step
+/// per j in [klo-1, khi+1]: send the results of tile j-1, post receives for
+/// tile j+1, compute tile j (each if that tile exists), then wait on all
+/// handles — the pipelined overlapping schedule of Fig. 2.  The first step
+/// only fetches tile klo's inputs and the last only ships tile khi's
+/// results.
 RankProgram nonblocking_program(Ctx& ctx, int rank) {
   msg::Endpoint& ep = ctx.cluster->node(rank);
   RankState& rs = (*ctx.ranks)[static_cast<std::size_t>(rank)];
@@ -429,6 +406,7 @@ RankProgram nonblocking_program(Ctx& ctx, int rank) {
   struct PendingRecv {
     std::shared_ptr<msg::RecvHandle> handle;
     const TileComm* comm;
+    i64 k = 0;      ///< consumer tile along the column
     i64 bytes = 0;  ///< message size, resolved at post time (consumer tile)
   };
 
@@ -438,81 +416,60 @@ RankProgram nonblocking_program(Ctx& ctx, int rank) {
   std::vector<std::shared_ptr<msg::SendHandle>> sends;
   for (const Vec& col : columns) {
     const i64 col_lin = ctx.column_owners(col, owners);
+    const std::size_t base = ctx.comm->column_base(col, ctx.md);
+    for (i64 j = ctx.klo - 1; j <= ctx.khi + 1; ++j) {
+      const i64 lin = col_lin + (j - ctx.klo) * ctx.stride;
 
-    // Pipeline prologue: fetch the first tile's inbound data.
-    {
-      const CommView ins = ctx.comms(col, ctx.klo, col_lin, false);
-      for (const TileComm& in : ins.items()) {
-        const int src_rank = owners[in.dir];
-        if (src_rank == rank) continue;
-        auto h = ep.irecv(src_rank, ctx.tag(col_lin, in.dir));
-        pending.push_back(PendingRecv{
-            std::move(h), &in, ctx.message_bytes(col, ctx.klo, in, false)});
-      }
-      for (PendingRecv& pr : pending) {
-        co_await RecvReadyAwait{*ctx.cluster, rank, pr.handle};
-        const i64 bytes = pr.bytes;
-        co_await CpuAwait{ep, ctx.cluster->fill_mpi_ns(bytes),
-                          obs::Phase::kFillMpiRecv};
-        // Imperfect overlap: the offloaded receive steals CPU cycles.
-        // Guarded so ideal models (stall == 0) leave the trace untouched.
-        const sim::Time rstall = ctx.cluster->recv_interference_ns(bytes);
-        if (rstall > 0)
-          co_await CpuAwait{ep, rstall, obs::Phase::kKernelRecv};
-        if (ctx.opts.functional)
-          apply_payload(rs, pr.comm->regions, pr.handle->payload);
-      }
-      pending.clear();
-    }
-
-    for (i64 k = ctx.klo; k <= ctx.khi; ++k) {
-      const i64 lin = col_lin + (k - ctx.klo) * ctx.stride;
-
-      // 1. Nonblocking sends of tile (k-1)'s results (A1 on the CPU, the
+      // 1. Nonblocking sends of tile (j-1)'s results (A1 on the CPU, the
       //    rest of the pipeline on the DMA channel).
-      if (k > ctx.klo) {
+      if (j > ctx.klo) {
         const i64 prev = lin - ctx.stride;
-        const CommView outs = ctx.comms(col, k - 1, prev, true);
-        for (const TileComm& out : outs.items()) {
+        const std::vector<TileComm>& outs = ctx.comms(base, j - 1, true);
+        for (const TileComm& out : outs) {
           const int dst_rank =
               owners[static_cast<std::size_t>(ctx.ndirs) + out.dir];
           if (dst_rank == rank) continue;
-          const i64 bytes = ctx.message_bytes(col, k - 1, out, true);
+          const i64 bytes = ctx.message_bytes(col, j - 1, out, true);
           co_await CpuAwait{ep, ctx.cluster->fill_mpi_ns(bytes),
                             obs::Phase::kFillMpiSend};
           msg::Payload payload;
-          if (ctx.opts.functional) payload = encode_payload(rs, out.regions);
+          if (ctx.opts.functional)
+            payload = encode_payload(
+                rs, comm_regions(ctx.plan->space, ctx.tile(col, j - 1),
+                                 out.offset));
           sends.push_back(
               ep.isend(dst_rank, ctx.tag(prev + ctx.delta[out.dir], out.dir),
                        bytes, std::move(payload)));
           // Imperfect overlap: the offloaded send steals CPU cycles.
+          // Guarded so ideal models (stall == 0) leave the trace untouched.
           const sim::Time sstall = ctx.cluster->send_interference_ns(bytes);
           if (sstall > 0)
             co_await CpuAwait{ep, sstall, obs::Phase::kKernelSend};
         }
       }
 
-      // 2. Post receives for tile (k+1)'s data.  The view lives until the
-      //    pending waits complete at the end of this iteration.
-      CommView next_ins;
-      if (k < ctx.khi) {
+      // 2. Post receives for tile (j+1)'s data.
+      if (j < ctx.khi) {
         const i64 next = lin + ctx.stride;
-        next_ins = ctx.comms(col, k + 1, next, false);
-        for (const TileComm& in : next_ins.items()) {
+        const std::vector<TileComm>& ins = ctx.comms(base, j + 1, false);
+        for (const TileComm& in : ins) {
           const int src_rank = owners[in.dir];
           if (src_rank == rank) continue;
           auto h = ep.irecv(src_rank, ctx.tag(next, in.dir));
           pending.push_back(PendingRecv{
-              std::move(h), &in, ctx.message_bytes(col, k + 1, in, false)});
+              std::move(h), &in, j + 1,
+              ctx.message_bytes(col, j + 1, in, false)});
         }
       }
 
-      // 3. Compute tile k while the DMA channels move data.
-      co_await CpuAwait{ep, ctx.compute_ns(col, k, lin),
-                        obs::Phase::kCompute};
-      if (ctx.opts.functional)
-        compute_tile_values(ctx, rs,
-                            ctx.plan->space.tile_iterations(ctx.tile(col, k)));
+      // 3. Compute tile j while the DMA channels move data.
+      if (j >= ctx.klo && j <= ctx.khi) {
+        co_await CpuAwait{ep, ctx.compute_ns(col, base, j),
+                          obs::Phase::kCompute};
+        if (ctx.opts.functional)
+          compute_tile_values(
+              ctx, rs, ctx.plan->space.tile_iterations(ctx.tile(col, j)));
+      }
 
       // 4. Wait for the sends (buffer reuse) ...
       for (auto& s : sends) co_await SendDoneAwait{*ctx.cluster, rank, s};
@@ -524,37 +481,18 @@ RankProgram nonblocking_program(Ctx& ctx, int rank) {
         const i64 bytes = pr.bytes;
         co_await CpuAwait{ep, ctx.cluster->fill_mpi_ns(bytes),
                           obs::Phase::kFillMpiRecv};
+        // Imperfect overlap: the offloaded receive steals CPU cycles.
         const sim::Time rstall = ctx.cluster->recv_interference_ns(bytes);
         if (rstall > 0)
           co_await CpuAwait{ep, rstall, obs::Phase::kKernelRecv};
-        if (ctx.opts.functional)
-          apply_payload(rs, pr.comm->regions, pr.handle->payload);
+        if (ctx.opts.functional) {
+          const Vec& e = pr.comm->offset;
+          apply_payload(
+              rs, comm_regions(ctx.plan->space, ctx.tile(col, pr.k) - e, e),
+              pr.handle->payload);
+        }
       }
       pending.clear();
-    }
-
-    // Column epilogue: ship the last tile's results.
-    {
-      const i64 last = col_lin + (ctx.khi - ctx.klo) * ctx.stride;
-      const CommView outs = ctx.comms(col, ctx.khi, last, true);
-      for (const TileComm& out : outs.items()) {
-        const int dst_rank =
-            owners[static_cast<std::size_t>(ctx.ndirs) + out.dir];
-        if (dst_rank == rank) continue;
-        const i64 bytes = ctx.message_bytes(col, ctx.khi, out, true);
-        co_await CpuAwait{ep, ctx.cluster->fill_mpi_ns(bytes),
-                          obs::Phase::kFillMpiSend};
-        msg::Payload payload;
-        if (ctx.opts.functional) payload = encode_payload(rs, out.regions);
-        sends.push_back(
-            ep.isend(dst_rank, ctx.tag(last + ctx.delta[out.dir], out.dir),
-                     bytes, std::move(payload)));
-        const sim::Time sstall = ctx.cluster->send_interference_ns(bytes);
-        if (sstall > 0)
-          co_await CpuAwait{ep, sstall, obs::Phase::kKernelSend};
-      }
-      for (auto& s : sends) co_await SendDoneAwait{*ctx.cluster, rank, s};
-      sends.clear();
     }
   }
   ++ctx.completed_ranks;
@@ -607,8 +545,7 @@ RunResult run_plan(const loop::LoopNest& nest, const TilePlan& plan,
 
   std::optional<RunWorkspace> local;
   RunWorkspace::Impl& ws = *(workspace ? workspace : &local.emplace())->impl_;
-  if (!ws.comm.matches(plan.space, opts.functional))
-    ws.comm.build(plan.space, opts.functional);
+  if (!ws.comm.matches(plan.space)) ws.comm.build(plan.space);
 
   Ctx ctx;
   ctx.nest = &nest;

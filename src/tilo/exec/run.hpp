@@ -120,13 +120,14 @@ class RunWorkspace;
 /// instead of silently returning partial results.
 ///
 /// `workspace` (optional) carries reusable state across runs: the per-rank
-/// state vector, the per-tile communication-geometry table (keyed by tile
-/// sides, domain and dependence set) and the simulated cluster, whose
-/// event, transfer and handle pools stay warm.  Passing the same workspace
-/// to consecutive runs over the same tiled geometry (e.g. the overlap and
-/// non-overlap schedules at one tile height V) amortizes tile enumeration
-/// and region computation, and a warm workspace moves messages without
-/// heap allocation; results are byte-identical with or without one.
+/// state vector, the communication-geometry table of tile boundary classes
+/// (keyed by tile sides, domain and dependence set) and the simulated
+/// cluster, whose event, transfer and handle pools stay warm.  Passing the
+/// same workspace to consecutive runs over the same tiled geometry (e.g.
+/// the overlap and non-overlap schedules at one tile height V, timed or
+/// functional) amortizes the table build, and a warm workspace moves
+/// messages without heap allocation; results are byte-identical with or
+/// without one.
 RunResult run_plan(const loop::LoopNest& nest, const TilePlan& plan,
                    std::shared_ptr<const mach::Model> model,
                    const RunOptions& opts = {},

@@ -16,7 +16,6 @@
 
 #include "tilo/core/analytic.hpp"
 #include "tilo/core/parallel.hpp"
-#include "tilo/core/plancache.hpp"
 #include "tilo/machine/optimize.hpp"
 #include "tilo/pipeline/stages.hpp"
 #include "tilo/util/error.hpp"
@@ -76,10 +75,10 @@ pipeline::AnalysisArtifact analysis_for(const Problem& problem) {
 /// One sweep sample: tile at V (for g), then schedule, lower and simulate
 /// each enabled kind, reusing the worker's workspace (both runs share one
 /// tiled geometry, so the second reuses the comm table the first built).
-/// Without a cache the non-overlap plan is the overlap plan with the kind
-/// flipped (geometry is kind-independent), re-verified before use.  A kind
-/// that is off carries the ranking curves' predictions, or zeros without
-/// curves.
+/// When both kinds run, the non-overlap plan is the overlap plan with the
+/// kind flipped (geometry is kind-independent), re-verified before use.  A
+/// kind that is off carries the ranking curves' predictions, or zeros
+/// without curves.
 SweepPoint measure_point(const pipeline::AnalysisArtifact& analysis, i64 V,
                          bool do_overlap, bool do_nonoverlap,
                          const RankingCurves* curves, const SweepOptions& opts,
@@ -96,7 +95,7 @@ SweepPoint measure_point(const pipeline::AnalysisArtifact& analysis, i64 V,
   if (do_overlap) {
     const pipeline::ScheduleArtifact sched =
         pipeline::run_scheduling(analysis, tiling, ScheduleKind::kOverlap);
-    over = pipeline::run_lowering(analysis, tiling, sched, opts.plan_cache,
+    over = pipeline::run_lowering(analysis, tiling, sched, nullptr,
                                   opts.comm.level);
     pt.predicted_overlap = over.predicted_seconds;
     pt.predicted_cpu_bound =
@@ -110,7 +109,7 @@ SweepPoint measure_point(const pipeline::AnalysisArtifact& analysis, i64 V,
   if (do_nonoverlap) {
     const pipeline::ScheduleArtifact sched =
         pipeline::run_scheduling(analysis, tiling, ScheduleKind::kNonOverlap);
-    if (do_overlap && !opts.plan_cache) {
+    if (do_overlap) {
       auto flipped = std::make_shared<exec::TilePlan>(*over.plan);
       flipped->kind = ScheduleKind::kNonOverlap;
       pipeline::verify_lowered_plan(pipeline::Stage::kLowering, *flipped,
@@ -119,8 +118,8 @@ SweepPoint measure_point(const pipeline::AnalysisArtifact& analysis, i64 V,
       const double predicted = predict_completion(*flipped, *problem.model);
       nonover = pipeline::PlanArtifact{std::move(flipped), predicted};
     } else {
-      nonover = pipeline::run_lowering(analysis, tiling, sched,
-                                       opts.plan_cache, opts.comm.level);
+      nonover = pipeline::run_lowering(analysis, tiling, sched, nullptr,
+                                       opts.comm.level);
     }
     pt.predicted_nonoverlap = nonover.predicted_seconds;
   } else if (curves) {

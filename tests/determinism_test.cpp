@@ -11,13 +11,11 @@
 #include <sstream>
 #include <vector>
 
-#include "tilo/core/plancache.hpp"
 #include "tilo/core/sweep.hpp"
 #include "tilo/trace/timeline.hpp"
 
 namespace {
 
-using tilo::core::PlanCache;
 using tilo::core::Problem;
 using tilo::core::ScheduleKind;
 using tilo::core::SweepOptions;
@@ -176,30 +174,6 @@ TEST(DeterminismTest, ParallelSweepIdenticalToSerialAllSpaces) {
   }
 }
 
-TEST(DeterminismTest, PlanCacheDoesNotPerturbSweep) {
-  const Problem problem = tilo::core::paper_problem_iii();
-  const std::vector<i64> heights{64, 100, 444};
-  const std::vector<SweepPoint> base =
-      tilo::core::sweep_tile_height(problem, heights);
-
-  PlanCache cache;
-  SweepOptions cached;
-  cached.plan_cache = &cache;
-  cached.threads = 2;
-  const std::vector<SweepPoint> got =
-      tilo::core::sweep_tile_height(problem, heights, cached);
-  expect_points_identical(base, got);
-  EXPECT_GT(cache.hits(), 0u);  // sibling-kind plans are derived, not built
-  EXPECT_EQ(cache.misses(), heights.size());
-
-  // A second cached sweep is served entirely from the cache.
-  const std::uint64_t misses_before = cache.misses();
-  const std::vector<SweepPoint> again =
-      tilo::core::sweep_tile_height(problem, heights, cached);
-  expect_points_identical(base, again);
-  EXPECT_EQ(cache.misses(), misses_before);
-}
-
 TEST(DeterminismTest, ParallelAutotuneIdenticalToSerial) {
   const Problem problem = tilo::core::paper_problem_iii();
   for (const ScheduleKind kind :
@@ -209,8 +183,6 @@ TEST(DeterminismTest, ParallelAutotuneIdenticalToSerial) {
         problem, kind, 16, problem.max_tile_height(), serial);
     SweepOptions par;
     par.threads = 4;
-    PlanCache cache;
-    par.plan_cache = &cache;
     const tilo::core::Autotune got = tilo::core::autotune_tile_height(
         problem, kind, 16, problem.max_tile_height(), par);
     EXPECT_EQ(base.V_opt, got.V_opt);

@@ -84,15 +84,22 @@ TEST(RegionsTest, OutgoingAndIncomingAreSymmetric) {
   const TiledSpace space(nest, RectTiling(Vec{4, 4, 4}));
   space.for_each_tile([&](const Vec& t) {
     for (const TileComm& out : exec::outgoing(space, t)) {
-      const auto in = exec::incoming(space, t + out.offset);
+      const Vec consumer = t + out.offset;
+      const auto in = exec::incoming(space, consumer);
       bool found = false;
       for (const TileComm& cand : in) {
         if (cand.offset == out.offset) {
           found = true;
           EXPECT_EQ(cand.points, out.points);
-          ASSERT_EQ(cand.regions.size(), out.regions.size());
-          for (std::size_t i = 0; i < cand.regions.size(); ++i)
-            EXPECT_EQ(cand.regions[i].points, out.regions[i].points);
+          // The sender builds its regions from itself, the receiver from
+          // its producer consumer - offset: both must name the same boxes.
+          const auto sent = exec::comm_regions(space, t, out.offset);
+          const auto recv =
+              exec::comm_regions(space, consumer - cand.offset, cand.offset);
+          EXPECT_EQ(exec::region_points(sent), out.points);
+          ASSERT_EQ(recv.size(), sent.size());
+          for (std::size_t i = 0; i < recv.size(); ++i)
+            EXPECT_EQ(recv[i].points, sent[i].points);
         }
       }
       EXPECT_TRUE(found) << "no matching incoming for offset "
@@ -112,7 +119,8 @@ TEST(RegionsTest, IncomingRegionsCoverAllCrossTileReads) {
     // Gather all points delivered to tile t, per direction.
     std::set<std::vector<i64>> delivered;
     for (const TileComm& in : exec::incoming(space, t))
-      for (const CommRegion& r : in.regions)
+      for (const CommRegion& r :
+           exec::comm_regions(space, t - in.offset, in.offset))
         r.points.for_each_point(
             [&](const Vec& p) { delivered.insert(p.data()); });
 

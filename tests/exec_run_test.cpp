@@ -4,6 +4,8 @@
 // sanity (overlap >= utilization argument).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "tilo/core/problem.hpp"
 #include "tilo/exec/run.hpp"
 #include "tilo/loopnest/workloads.hpp"
@@ -37,6 +39,25 @@ mach::MachineParams fast_params() {
 
 std::shared_ptr<const mach::Model> fast_model() {
   return std::make_shared<mach::IdealOverlapModel>(fast_params());
+}
+
+/// Every RunResult field of `got` equals `want`'s, field values included.
+void expect_same_result(const RunResult& got, const RunResult& want,
+                        const std::string& label) {
+  EXPECT_EQ(got.seconds, want.seconds) << label;
+  EXPECT_EQ(got.completion, want.completion) << label;
+  EXPECT_EQ(got.messages, want.messages) << label;
+  EXPECT_EQ(got.bytes, want.bytes) << label;
+  EXPECT_EQ(got.peak_inflight_bytes, want.peak_inflight_bytes) << label;
+  EXPECT_EQ(got.halo_bytes, want.halo_bytes) << label;
+  EXPECT_EQ(got.events, want.events) << label;
+  EXPECT_EQ(got.alap_lower_bound, want.alap_lower_bound) << label;
+  EXPECT_EQ(got.traffic, want.traffic) << label;
+  ASSERT_EQ(got.field.has_value(), want.field.has_value()) << label;
+  if (got.field) {
+    EXPECT_EQ(got.field->domain, want.field->domain) << label;
+    EXPECT_EQ(got.field->values, want.field->values) << label;
+  }
 }
 
 }  // namespace
@@ -101,6 +122,26 @@ TEST(ExecFunctionalTest, ThickDependencesAcrossRanks) {
     const TilePlan plan = exec::make_plan_explicit(
         nest, RectTiling(Vec{4, 6}), kind, 1, Vec{3, 1});
     EXPECT_DOUBLE_EQ(exec::run_and_validate(nest, plan, fast_params()), 0.0);
+  }
+}
+
+TEST(ExecFunctionalTest, MoreThan65536TilesMatchSequential) {
+  // 257 x 257 tiles of 2 x 2: functional runs look tile geometry up in the
+  // same boundary-class table as timed runs, with no tile-count cap.
+  const LoopNest nest("many-tiles", Box::from_extents(Vec{514, 514}),
+                      DependenceSet({Vec{1, 0}, Vec{0, 1}, Vec{1, 1}}),
+                      std::make_shared<loop::SumKernel>(0.3));
+  const loop::DenseField ref = loop::run_sequential(nest);
+  for (auto kind : {ScheduleKind::kNonOverlap, ScheduleKind::kOverlap}) {
+    const TilePlan plan = exec::make_plan_explicit(
+        nest, RectTiling(Vec{2, 2}), kind, 1, Vec{4, 1});
+    ASSERT_GT(plan.space.num_tiles(), i64{1} << 16);
+    const RunResult r = exec::run_plan(nest, plan, fast_model(),
+                                       RunOptions{.functional = true});
+    ASSERT_TRUE(r.field.has_value());
+    EXPECT_GT(r.messages, 0);
+    EXPECT_EQ(loop::max_abs_diff(*r.field, ref), 0.0)
+        << "kind " << static_cast<int>(kind);
   }
 }
 
@@ -319,24 +360,35 @@ TEST(ExecWorkspaceTest, ModelSwitchesDoNotReuseMemoizedCosts) {
     for (const auto& model : models) {
       const RunResult reused = exec::run_plan(p.nest, plan, model, {}, &ws);
       const RunResult fresh = exec::run_plan(p.nest, plan, model);
-      EXPECT_EQ(reused.seconds, fresh.seconds) << model->kind();
-      EXPECT_EQ(reused.completion, fresh.completion) << model->kind();
-      EXPECT_EQ(reused.messages, fresh.messages) << model->kind();
-      EXPECT_EQ(reused.bytes, fresh.bytes) << model->kind();
-      EXPECT_EQ(reused.peak_inflight_bytes, fresh.peak_inflight_bytes)
-          << model->kind();
-      EXPECT_EQ(reused.halo_bytes, fresh.halo_bytes) << model->kind();
-      EXPECT_EQ(reused.events, fresh.events) << model->kind();
-      EXPECT_EQ(reused.alap_lower_bound, fresh.alap_lower_bound)
-          << model->kind();
-      EXPECT_EQ(reused.traffic, fresh.traffic) << model->kind();
-      EXPECT_EQ(reused.field.has_value(), fresh.field.has_value());
+      expect_same_result(reused, fresh, model->kind());
       completions.push_back(reused.completion);
     }
     // The models really price differently, so a stale memo would show.
     EXPECT_NE(completions[1], completions[0]);
     EXPECT_NE(completions[2], completions[0]);
     EXPECT_EQ(completions[4], completions[0]);
+  }
+}
+
+TEST(ExecWorkspaceTest, FunctionalTimedFunctionalReuseMatchesFreshRuns) {
+  // Timed and functional runs share one geometry table: a workspace that
+  // alternates between the two modes must equal fresh runs field for
+  // field, including the assembled values.
+  const LoopNest nest = loop::stencil3d_nest(7, 9, 23);  // partial tiles
+  for (auto kind : {ScheduleKind::kNonOverlap, ScheduleKind::kOverlap}) {
+    const TilePlan plan =
+        exec::make_plan(nest, RectTiling(Vec{3, 4, 5}), kind);
+    exec::RunWorkspace ws;
+    for (const bool functional : {true, false, true}) {
+      RunOptions opts;
+      opts.functional = functional;
+      const RunResult reused =
+          exec::run_plan(nest, plan, fast_model(), opts, &ws);
+      const RunResult fresh = exec::run_plan(nest, plan, fast_model(), opts);
+      ASSERT_EQ(fresh.field.has_value(), functional);
+      expect_same_result(reused, fresh,
+                         functional ? "functional" : "timed");
+    }
   }
 }
 

@@ -9,7 +9,6 @@
 #include <cstring>
 
 #include "tilo/core/analytic.hpp"
-#include "tilo/core/plancache.hpp"
 #include "tilo/core/problem.hpp"
 #include "tilo/core/sweep.hpp"
 #include "tilo/loopnest/workloads.hpp"
@@ -179,11 +178,9 @@ TEST(PruneSelectTest, ExhaustiveModeMatchesPlainSweep) {
   taxed.model = mach::make_model("interference", taxed.machine);
   expect_exhaustive_matches_plain(taxed, grid_for(taxed), {});
 
-  core::PlanCache cache;
-  SweepOptions cached;
-  cached.plan_cache = &cache;
-  cached.threads = 2;
-  expect_exhaustive_matches_plain(problem, grid_for(problem), cached);
+  SweepOptions par;
+  par.threads = 2;
+  expect_exhaustive_matches_plain(problem, grid_for(problem), par);
 }
 
 /// The escape hatch ranks nothing, so it runs on any nest the plain sweep
