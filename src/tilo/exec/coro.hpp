@@ -1,7 +1,8 @@
 // Minimal C++20 coroutine support for writing per-rank programs that read
 // like the paper's ProcB/ProcNB pseudocode.  Programs are eager,
 // fire-and-forget coroutines driven by the simulation engine; suspension
-// points are CPU charges and message-completion waits.
+// points are CPU charges (CpuAwait) and request waits (msg::Wait).  Their
+// frames come from a FrameArena, so a warm run allocates none.
 //
 // The awaitables are deliberately non-aggregate classes with explicit
 // constructors: GCC 12 miscompiles aggregate awaitables that carry default
@@ -10,8 +11,10 @@
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
 #include <exception>
-#include <memory>
+#include <new>
+#include <vector>
 
 #include "tilo/msg/cluster.hpp"
 #include "tilo/msg/endpoint.hpp"
@@ -20,22 +23,91 @@
 
 namespace tilo::exec {
 
-/// Where rank programs park exceptions; the runner rethrows after the
-/// engine drains.  (Events run outside any coroutine, so an exception
-/// escaping a program body cannot propagate to the caller directly.)
-struct ProgramErrorSink {
+/// Recycles coroutine frames (libcoro's pool_alloc idiom): one free list
+/// per frame size, blocks kept until the arena dies.  Each block starts
+/// with a header naming its arena and free list, so a frame goes back to
+/// the right list from the promise's operator delete, which only sees the
+/// frame and its size.  Not thread-safe, like the simulation that owns it.
+class FrameArena {
+ public:
+  FrameArena() = default;
+  FrameArena(const FrameArena&) = delete;
+  FrameArena& operator=(const FrameArena&) = delete;
+  ~FrameArena() {
+    for (const List& l : lists_)
+      for (void* block : l.free) ::operator delete(block);
+  }
+
+  void* take(std::size_t bytes) {
+    std::size_t i = 0;
+    while (i < lists_.size() && lists_[i].bytes != bytes) ++i;
+    if (i == lists_.size()) lists_.push_back(List{bytes, 0, {}});
+    List& l = lists_[i];
+    void* block;
+    if (l.free.empty()) {
+      // Room for every block of the list, so give() never reallocates.
+      if (l.free.capacity() < ++l.blocks) l.free.reserve(2 * l.blocks);
+      block = ::operator new(kHeader + bytes);
+    } else {
+      block = l.free.back();
+      l.free.pop_back();
+    }
+    ::new (block) Header{this, i};
+    ++live_;
+    return static_cast<std::byte*>(block) + kHeader;
+  }
+
+  static void give(void* frame) noexcept {
+    void* block = static_cast<std::byte*>(frame) - kHeader;
+    const Header h = *static_cast<Header*>(block);
+    h.arena->lists_[h.list].free.push_back(block);
+    --h.arena->live_;
+  }
+
+  /// Frames handed out and not yet given back.
+  std::size_t live() const { return live_; }
+
+ private:
+  struct Header {
+    FrameArena* arena;
+    std::size_t list;
+  };
+  // Keeps frames at operator new's alignment.
+  static constexpr std::size_t kHeader = __STDCPP_DEFAULT_NEW_ALIGNMENT__;
+  static_assert(sizeof(Header) <= kHeader);
+
+  struct List {
+    std::size_t bytes;
+    std::size_t blocks;
+    std::vector<void*> free;
+  };
+  std::vector<List> lists_;
+  std::size_t live_ = 0;
+};
+
+/// The first parameter of every rank program derives from this: the
+/// arena its frame comes from, and where it parks an exception (events run
+/// outside any coroutine, so an exception escaping a program body cannot
+/// reach the caller directly; the runner rethrows after the engine
+/// drains).
+struct ProgramContext {
+  FrameArena* frames = nullptr;
   std::exception_ptr error;
 };
 
-/// Fire-and-forget coroutine type for rank programs.  The first parameter
-/// of every program must expose `ProgramErrorSink& error_sink()`; the
-/// promise captures it so unhandled exceptions are reported, not lost.
+/// Fire-and-forget coroutine type for rank programs `f(ctx, rank)`.
 struct RankProgram {
   struct promise_type {
-    ProgramErrorSink* sink;
+    ProgramContext* ctx;
 
-    template <typename Ctx, typename... Rest>
-    explicit promise_type(Ctx& ctx, Rest&&...) : sink(&ctx.error_sink()) {}
+    promise_type(ProgramContext& c, int) : ctx(&c) {}
+
+    static void* operator new(std::size_t bytes, ProgramContext& c, int) {
+      return c.frames->take(bytes);
+    }
+    static void operator delete(void* frame, std::size_t) noexcept {
+      FrameArena::give(frame);
+    }
 
     RankProgram get_return_object() { return {}; }
     std::suspend_never initial_suspend() noexcept { return {}; }
@@ -43,7 +115,7 @@ struct RankProgram {
     std::suspend_never final_suspend() noexcept { return {}; }
     void return_void() {}
     void unhandled_exception() {
-      if (!sink->error) sink->error = std::current_exception();
+      if (!ctx->error) ctx->error = std::current_exception();
     }
   };
 };
@@ -66,68 +138,6 @@ class CpuAwait {
   msg::Endpoint* ep_;
   sim::Time dt_;
   obs::Phase phase_;
-};
-
-/// co_await SendDoneAwait(...): block (CPU idle) until the send pipeline
-/// finishes; the blocked interval is reported to the cluster's sink.
-/// Refers to the caller's handle, which must outlive the co_await.
-class SendDoneAwait {
- public:
-  SendDoneAwait(msg::Cluster& cluster, int rank,
-                const std::shared_ptr<msg::SendHandle>& handle)
-      : cluster_(&cluster), rank_(rank), handle_(handle) {}
-
-  bool await_ready() const noexcept { return handle_->done; }
-  void await_suspend(std::coroutine_handle<> h) {
-    const sim::Time suspended_at = cluster_->engine().now();
-    msg::Cluster* cluster = cluster_;
-    const int rank = rank_;
-    cluster->register_suspended(rank, h.address());
-    msg::Endpoint::when_done(handle_, [cluster, rank, suspended_at, h] {
-      cluster->unregister_suspended(rank);
-      if (obs::Sink* sink = cluster->sink())
-        sink->span(rank, obs::Phase::kBlocked, suspended_at,
-                   cluster->engine().now(), "wait-send");
-      h.resume();
-    });
-  }
-  void await_resume() const noexcept {}
-
- private:
-  msg::Cluster* cluster_;
-  int rank_;
-  const std::shared_ptr<msg::SendHandle>& handle_;
-};
-
-/// co_await RecvReadyAwait(...): block until the message is kernel-ready.
-/// The caller still owes the A3 CPU charge afterwards.  Refers to the
-/// caller's handle, which must outlive the co_await.
-class RecvReadyAwait {
- public:
-  RecvReadyAwait(msg::Cluster& cluster, int rank,
-                 const std::shared_ptr<msg::RecvHandle>& handle)
-      : cluster_(&cluster), rank_(rank), handle_(handle) {}
-
-  bool await_ready() const noexcept { return handle_->ready; }
-  void await_suspend(std::coroutine_handle<> h) {
-    const sim::Time suspended_at = cluster_->engine().now();
-    msg::Cluster* cluster = cluster_;
-    const int rank = rank_;
-    cluster->register_suspended(rank, h.address());
-    msg::Endpoint::when_ready(handle_, [cluster, rank, suspended_at, h] {
-      cluster->unregister_suspended(rank);
-      if (obs::Sink* sink = cluster->sink())
-        sink->span(rank, obs::Phase::kBlocked, suspended_at,
-                   cluster->engine().now(), "wait-recv");
-      h.resume();
-    });
-  }
-  void await_resume() const noexcept {}
-
- private:
-  msg::Cluster* cluster_;
-  int rank_;
-  const std::shared_ptr<msg::RecvHandle>& handle_;
 };
 
 }  // namespace tilo::exec

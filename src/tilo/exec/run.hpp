@@ -119,15 +119,16 @@ class RunWorkspace;
 /// rank program stalls (e.g. a lost message or a scheduling deadlock)
 /// instead of silently returning partial results.
 ///
-/// `workspace` (optional) carries reusable state across runs: the per-rank
-/// state vector, the communication-geometry table of tile boundary classes
-/// (keyed by tile sides, domain and dependence set) and the simulated
-/// cluster, whose event, transfer and handle pools stay warm.  Passing the
-/// same workspace to consecutive runs over the same tiled geometry (e.g.
-/// the overlap and non-overlap schedules at one tile height V, timed or
-/// functional) amortizes the table build, and a warm workspace moves
-/// messages without heap allocation; results are byte-identical with or
-/// without one.
+/// `workspace` (optional) carries reusable state across runs: the
+/// communication-geometry table of tile boundary classes (keyed by tile
+/// sides, domain and dependence set), each rank's column geometry (keyed
+/// additionally by the mapping), the rank-program frame arena and the
+/// simulated cluster, whose event, transfer, request and payload tables
+/// stay warm.  Passing the same workspace to consecutive runs over the
+/// same tiled geometry (e.g. the overlap and non-overlap schedules at one
+/// tile height V, timed or functional) amortizes the geometry build, and a
+/// warm timed run allocates only the nodes of RunResult::traffic; results
+/// are byte-identical with or without one.
 RunResult run_plan(const loop::LoopNest& nest, const TilePlan& plan,
                    std::shared_ptr<const mach::Model> model,
                    const RunOptions& opts = {},

@@ -18,6 +18,7 @@ void Cluster::reset(int num_nodes, std::shared_ptr<const mach::Model> model,
                     obs::Sink* sink, Protocol protocol) {
   TILO_REQUIRE(model != nullptr, "cluster needs a machine model");
   TILO_REQUIRE(num_nodes >= 1, "cluster needs at least one node");
+  reclaim();
   engine_.reset();
   model_ = std::move(model);
   params_ = model_->params();
@@ -50,9 +51,6 @@ void Cluster::reset(int num_nodes, std::shared_ptr<const mach::Model> model,
   drop_index_ = -1;
   links_.resize(static_cast<std::size_t>(num_nodes));
   for (auto& row : links_) row.clear();
-  suspended_.assign(static_cast<std::size_t>(num_nodes), nullptr);
-  transfers_.clear();
-  free_transfers_.clear();
   for (auto& table : memo_) table.fill(Memo{});
 }
 
@@ -154,13 +152,105 @@ std::map<std::pair<int, int>, i64> Cluster::traffic() const {
   return out;
 }
 
-std::vector<void*> Cluster::take_suspended() {
-  std::vector<void*> out;
-  for (void*& address : suspended_) {
-    if (address) out.push_back(address);
-    address = nullptr;
+RequestId Cluster::open_request(bool send, const Message& m) {
+  std::uint32_t slot;
+  if (free_requests_.empty()) {
+    TILO_REQUIRE(requests_.size() < kNoRequest, "request table exhausted");
+    slot = static_cast<std::uint32_t>(requests_.size());
+    requests_.emplace_back();
+    // Room for every slot, so release() never reallocates.
+    if (free_requests_.capacity() < requests_.size())
+      free_requests_.reserve(requests_.capacity());
+  } else {
+    slot = free_requests_.back();
+    free_requests_.pop_back();
   }
-  return out;
+  Request& r = requests_[slot];
+  r.m = m;
+  r.waiter = nullptr;
+  r.live = true;
+  r.send = send;
+  r.complete = false;
+  r.granted = false;
+  return RequestId{slot, r.gen};
+}
+
+void Cluster::complete_request(std::uint32_t slot) {
+  Request& r = requests_[slot];
+  r.complete = true;
+  if (!r.waiter) return;
+  const std::coroutine_handle<> program = r.waiter;
+  r.waiter = nullptr;
+  if (sink_)
+    sink_->span(r.send ? r.m.src : r.m.dst, obs::Phase::kBlocked, r.parked_at,
+                engine_.now(), r.send ? "wait-send" : "wait-recv");
+  // The program may post new requests (growing the table): `r` is dead.
+  program.resume();
+}
+
+void Cluster::park(RequestId id, std::coroutine_handle<> program) {
+  check_live(id);
+  Request& r = requests_[id.slot];
+  TILO_REQUIRE(!r.waiter, "request already has a waiter");
+  r.waiter = program;
+  r.parked_at = engine_.now();
+}
+
+Message Cluster::release(RequestId id) {
+  check_live(id);
+  Request& r = requests_[id.slot];
+  TILO_ASSERT(r.complete, "releasing an incomplete request");
+  r.live = false;
+  ++r.gen;
+  free_requests_.push_back(id.slot);
+  return r.m;
+}
+
+Payload Cluster::make_payload() {
+  std::uint32_t index;
+  if (free_payloads_.empty()) {
+    TILO_REQUIRE(payloads_.size() < Payload::kNone, "payload table exhausted");
+    index = static_cast<std::uint32_t>(payloads_.size());
+    payloads_.emplace_back();
+  } else {
+    index = free_payloads_.back();
+    free_payloads_.pop_back();
+    payloads_[index].clear();
+  }
+  return Payload{index};
+}
+
+void Cluster::free_payload(Payload p) {
+  TILO_REQUIRE(p.index < payloads_.size(), "no payload ", p.index);
+  free_payloads_.push_back(p.index);
+}
+
+std::size_t Cluster::reclaim() {
+  std::size_t destroyed = 0;
+  for (Request& r : requests_) {
+    if (!r.waiter) continue;
+    const std::coroutine_handle<> program = r.waiter;
+    r.waiter = nullptr;
+    program.destroy();
+    ++destroyed;
+  }
+  // Every slot and buffer goes back, lowest index handed out first.
+  free_requests_.clear();
+  for (std::uint32_t s = static_cast<std::uint32_t>(requests_.size());
+       s-- > 0;) {
+    Request& r = requests_[s];
+    if (r.live) ++r.gen;
+    r.live = false;
+    free_requests_.push_back(s);
+  }
+  free_payloads_.clear();
+  for (std::uint32_t p = static_cast<std::uint32_t>(payloads_.size());
+       p-- > 0;)
+    free_payloads_.push_back(p);
+  for (NodeState& st : nodes_) st.endpoint->clear();
+  transfers_.clear();
+  free_transfers_.clear();
+  return destroyed;
 }
 
 void Cluster::track_sent(int src, int dst, i64 bytes) {
@@ -182,8 +272,7 @@ void Cluster::track_delivered(i64 bytes) {
   TILO_ASSERT(inflight_ >= 0, "in-flight byte accounting went negative");
 }
 
-std::uint32_t Cluster::add_transfer(Message m,
-                                    std::shared_ptr<SendHandle> handle) {
+std::uint32_t Cluster::add_transfer(const Message& m, std::uint32_t request) {
   std::uint32_t id;
   if (free_transfers_.empty()) {
     TILO_REQUIRE(transfers_.size() < UINT32_MAX, "transfer pool exhausted");
@@ -194,42 +283,28 @@ std::uint32_t Cluster::add_transfer(Message m,
     free_transfers_.pop_back();
   }
   Transfer& x = transfers_[id];
-  x.m = std::move(m);
-  x.handle = std::move(handle);
+  x.m = m;
+  x.request = request;
   return id;
 }
 
 void Cluster::deliver_transfer(std::uint32_t id) {
-  Message m = std::move(transfers_[id].m);
+  const Message m = transfers_[id].m;
   free_transfers_.push_back(id);
-  endpoint(m.dst).deliver(std::move(m));
+  endpoint(m.dst).deliver(m);
 }
 
-namespace {
-
-/// Marks a send complete and resumes its waiter, if any.
-void complete(SendHandle& h) {
-  h.done = true;
-  if (h.waiter) {
-    auto w = std::move(h.waiter);
-    h.waiter = nullptr;
-    w();
-  }
-}
-
-}  // namespace
-
-void Cluster::start_transfer(Message m,
-                             const std::shared_ptr<SendHandle>& handle) {
+void Cluster::start_transfer(const Message& m, std::uint32_t request) {
   const i64 index = messages_;
   track_sent(m.src, m.dst, m.bytes);
   if (index == drop_index_) {
     // Lost on the wire: the local send "succeeds", nothing arrives.
-    complete(*handle);
+    complete_request(request);
+    if (m.payload.has_data()) free_payload(m.payload);
     track_delivered(m.bytes);
     return;
   }
-  const std::uint32_t id = add_transfer(std::move(m), handle);
+  const std::uint32_t id = add_transfer(m, request);
   if (protocol_ == Protocol::kRendezvous) {
     // Request-to-send travels to the receiver; the data pipeline starts
     // only once a matching receive is posted (clear_to_send).
@@ -290,9 +365,7 @@ void Cluster::start_pipeline(std::uint32_t id) {
 void Cluster::send_leg_done(std::uint32_t id) {
   // The waiter may resume a program that sends again (growing the pool),
   // so the record is re-read afterwards, never held across the call.
-  std::shared_ptr<SendHandle> handle = std::move(transfers_[id].handle);
-  complete(*handle);
-  handle.reset();
+  complete_request(transfers_[id].request);
   const Transfer& x = transfers_[id];
   const int dst = x.m.dst;
   if (network_ == Network::kSwitched) {
@@ -315,15 +388,16 @@ void Cluster::send_leg_done(std::uint32_t id) {
     sink_->span(dst, obs::Phase::kKernelRecv, grant.start, grant.completion);
 }
 
-void Cluster::start_blocking_transfer(Message m) {
+void Cluster::start_blocking_transfer(const Message& m) {
   const i64 index = messages_;
   track_sent(m.src, m.dst, m.bytes);
   if (index == drop_index_) {
+    if (m.payload.has_data()) free_payload(m.payload);
     track_delivered(m.bytes);
     return;  // lost on the wire
   }
   const sim::Time lat = latency_ns(m.src, m.dst);
-  const std::uint32_t id = add_transfer(std::move(m), nullptr);
+  const std::uint32_t id = add_transfer(m, kNoRequest);
   engine_.after(lat, [this, id] { deliver_transfer(id); });
 }
 

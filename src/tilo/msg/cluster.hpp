@@ -4,6 +4,7 @@
 #pragma once
 
 #include <array>
+#include <coroutine>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -17,7 +18,7 @@
 #include "tilo/obs/sink.hpp"
 #include "tilo/sim/engine.hpp"
 #include "tilo/sim/resource.hpp"
-#include "tilo/util/pool.hpp"
+#include "tilo/util/error.hpp"
 
 namespace tilo::msg {
 
@@ -52,8 +53,9 @@ class Cluster {
 
   /// Re-initializes the cluster for a new run, as if freshly constructed
   /// with these arguments: the clock, every counter, the channels and the
-  /// matching tables start empty.  Pending events are dropped.  The event
-  /// pool, transfer pool, handle pools and table nodes keep their capacity,
+  /// matching tables start empty.  Pending events are dropped, and so is
+  /// everything reclaim() gives back.  The event pool, transfer pool,
+  /// request and payload tables and match-table nodes keep their capacity,
   /// so a reused cluster moves messages without heap allocation once warm.
   void reset(int num_nodes, std::shared_ptr<const mach::Model> model,
              mach::OverlapLevel level = mach::OverlapLevel::kDma,
@@ -91,20 +93,34 @@ class Cluster {
   /// the communication matrix.
   std::map<std::pair<int, int>, i64> traffic() const;
 
-  /// Suspended-program registry (used by the executors' coroutine
-  /// awaitables).  Each rank runs one program, so each rank has one slot:
-  /// a program parks its coroutine address there while waiting on a
-  /// message handle and clears it on resume.  After the engine drains, a
-  /// stalled run reclaims whatever is still parked so injected failures
-  /// cannot leak coroutine frames.
-  void register_suspended(int rank, void* coroutine_address) {
-    suspended_[static_cast<std::size_t>(rank)] = coroutine_address;
+  /// The state of request `id`; throws util::Error when the id is stale
+  /// (already waited on, or posted before a reset).
+  const Request& request(RequestId id) const {
+    check_live(id);
+    return requests_[id.slot];
   }
-  void unregister_suspended(int rank) {
-    suspended_[static_cast<std::size_t>(rank)] = nullptr;
+  /// Requests posted and not yet waited on (or reclaimed).
+  std::size_t live_requests() const {
+    return requests_.size() - free_requests_.size();
   }
-  /// Returns the parked addresses in rank order and clears every slot.
-  std::vector<void*> take_suspended();
+
+  /// A fresh, empty value buffer for a functional payload.  The receiver
+  /// reads it with payload_values() and hands it back with free_payload();
+  /// reclaim() and reset() take back whatever is left.  References from
+  /// payload_values() stay valid until the next make_payload().
+  Payload make_payload();
+  std::vector<double>& payload_values(Payload p) {
+    TILO_REQUIRE(p.index < payloads_.size(), "no payload ", p.index);
+    return payloads_[p.index];
+  }
+  void free_payload(Payload p);
+
+  /// Gives back everything a drained run left behind: destroys every
+  /// program still parked in msg::Wait (a stalled run: lost message or
+  /// deadlock), releases every request slot and payload buffer, and drops
+  /// unmatched messages, posted receives and pending transfers.  Returns
+  /// the number of programs destroyed.  Outstanding ids become stale.
+  std::size_t reclaim();
 
   // --- cost conversion helpers (seconds model -> simulated ns) ---
   // Wire helpers take an optional (src, dst) so heterogeneous-link models
@@ -124,6 +140,7 @@ class Cluster {
 
  private:
   friend class Endpoint;
+  friend class Wait;
 
   struct NodeState {
     std::unique_ptr<Endpoint> endpoint;
@@ -131,11 +148,13 @@ class Cluster {
     std::unique_ptr<sim::Resource> channel[2];
   };
 
+  static constexpr std::uint32_t kNoRequest = UINT32_MAX;
+
   /// One message between send and delivery.  Pipeline callbacks capture
   /// only {this, id}, which fits the engine's inline event slot.
   struct Transfer {
     Message m;
-    std::shared_ptr<SendHandle> handle;  // null on the blocking path
+    std::uint32_t request = kNoRequest;  // send slot; none when blocking
     sim::Time wire = 0;       // B4 = B1: one half of the wire time
     sim::Time recv_copy = 0;  // B2: receiver kernel copy
     sim::Time latency = 0;
@@ -153,7 +172,25 @@ class Cluster {
     return *nodes_[static_cast<std::size_t>(rank)].endpoint;
   }
 
-  std::uint32_t add_transfer(Message m, std::shared_ptr<SendHandle> handle);
+  void check_live(RequestId id) const {
+    TILO_REQUIRE(id.slot < requests_.size() &&
+                     requests_[id.slot].gen == id.gen &&
+                     requests_[id.slot].live,
+                 "stale request id (slot ", id.slot, ", generation ", id.gen,
+                 "): already waited on, or posted before a reset");
+  }
+  /// Opens a request slot holding `m`: a send's message, or a receive's
+  /// (src, dst, tag).
+  RequestId open_request(bool send, const Message& m);
+  /// Marks the request in `slot` complete and resumes its parked program,
+  /// reporting the blocked interval to the sink.
+  void complete_request(std::uint32_t slot);
+  /// msg::Wait's halves: park a program on a pending request, and release
+  /// a completed one, returning its message.
+  void park(RequestId id, std::coroutine_handle<> program);
+  Message release(RequestId id);
+
+  std::uint32_t add_transfer(const Message& m, std::uint32_t request);
   const Message& transfer_message(std::uint32_t id) const {
     return transfers_[id].m;
   }
@@ -164,7 +201,7 @@ class Cluster {
   /// Overlapped (DMA) transfer entry; called by Endpoint::isend.  Eager
   /// protocol pipelines immediately; rendezvous first runs the RTS/CTS
   /// handshake against the receiver's posted-receive table.
-  void start_transfer(Message m, const std::shared_ptr<SendHandle>& handle);
+  void start_transfer(const Message& m, std::uint32_t request);
   /// The data pipeline itself (post-handshake under rendezvous).
   void start_pipeline(std::uint32_t id);
   /// Sender side of the pipeline finished: the send buffer is free.
@@ -173,7 +210,7 @@ class Cluster {
   /// pipeline runs.  Called by Endpoint when a matching irecv is posted.
   void clear_to_send(std::uint32_t id);
   /// Blocking-path delivery; called by Endpoint::post_blocking.
-  void start_blocking_transfer(Message m);
+  void start_blocking_transfer(const Message& m);
 
   sim::Engine engine_;
   std::shared_ptr<const mach::Model> model_;
@@ -193,13 +230,12 @@ class Cluster {
   // talks to a few tile neighbours, so rows stay short and, unlike a
   // ranks x ranks matrix, memory stays linear in the rank count.
   std::vector<std::vector<Link>> links_;
-  std::vector<void*> suspended_;  // per rank
   std::vector<Transfer> transfers_;
   std::vector<std::uint32_t> free_transfers_;
-  std::shared_ptr<util::BlockPool> send_handles_ =
-      std::make_shared<util::BlockPool>();
-  std::shared_ptr<util::BlockPool> recv_handles_ =
-      std::make_shared<util::BlockPool>();
+  std::vector<Request> requests_;
+  std::vector<std::uint32_t> free_requests_;
+  std::vector<std::vector<double>> payloads_;
+  std::vector<std::uint32_t> free_payloads_;
 
   void track_sent(int src, int dst, i64 bytes);
   void track_delivered(i64 bytes);
@@ -228,6 +264,31 @@ class Cluster {
   sim::Time memo(Hook hook, i64 a, i64 b, Price price) const;
   mutable std::array<std::array<Memo, std::size_t{1} << kMemoBits>, kHooks>
       memo_{};
+};
+
+/// co_await Wait(cluster, id) (MPI_Wait): suspends the calling program
+/// until request `id` completes (immediately ready when it already has),
+/// then releases the id and returns the request's message: for a receive,
+/// the matched message with its size and payload (the A3 CPU copy is still
+/// the caller's to pay).  The blocked interval goes to the cluster's sink
+/// as "wait-send" or "wait-recv".  A stale or already-waited id, or a
+/// second waiter on one request, throws util::Error.
+///
+/// Not an aggregate: GCC 12 miscompiles aggregate awaitables that carry
+/// default member initializers (frame slots overlap).
+class Wait {
+ public:
+  Wait(Cluster& cluster, RequestId id) : cluster_(&cluster), id_(id) {}
+
+  bool await_ready() const { return cluster_->request(id_).complete; }
+  void await_suspend(std::coroutine_handle<> program) {
+    cluster_->park(id_, program);
+  }
+  Message await_resume() { return cluster_->release(id_); }
+
+ private:
+  Cluster* cluster_;
+  RequestId id_;
 };
 
 }  // namespace tilo::msg

@@ -1,9 +1,9 @@
 #include "tilo/msg/endpoint.hpp"
 
 #include <optional>
+#include <vector>
 
 #include "tilo/msg/cluster.hpp"
-#include "tilo/util/pool.hpp"
 #include "tilo/util/error.hpp"
 
 namespace tilo::msg {
@@ -20,8 +20,7 @@ void Endpoint::cpu_record(sim::Time dt, obs::Phase phase,
   }
 }
 
-std::shared_ptr<SendHandle> Endpoint::isend(int dst, i64 tag, i64 bytes,
-                                            Payload payload) {
+RequestId Endpoint::isend(int dst, i64 tag, i64 bytes, Payload payload) {
   TILO_REQUIRE(cluster_->level() != mach::OverlapLevel::kNone,
                "isend needs a DMA-capable overlap level; use the blocking "
                "path for OverlapLevel::kNone");
@@ -29,39 +28,35 @@ std::shared_ptr<SendHandle> Endpoint::isend(int dst, i64 tag, i64 bytes,
                dst);
   TILO_REQUIRE(dst != rank_, "self-send is not supported");
   TILO_REQUIRE(bytes >= 0, "negative message size");
-  auto handle = std::allocate_shared<SendHandle>(
-      util::PoolAllocator<SendHandle>(cluster_->send_handles_));
-  handle->bytes = bytes;
-  cluster_->start_transfer(
-      Message{rank_, dst, tag, bytes, std::move(payload)}, handle);
-  return handle;
+  const RequestId id =
+      cluster_->open_request(true, Message{rank_, dst, tag, bytes, {}});
+  cluster_->start_transfer(Message{rank_, dst, tag, bytes, payload}, id.slot);
+  return id;
 }
 
-std::shared_ptr<RecvHandle> Endpoint::irecv(int src, i64 tag) {
+RequestId Endpoint::irecv(int src, i64 tag) {
   TILO_REQUIRE(src >= 0 && src < cluster_->num_nodes(), "bad source ", src);
   TILO_REQUIRE(src != rank_, "self-receive is not supported");
-  auto handle = std::allocate_shared<RecvHandle>(
-      util::PoolAllocator<RecvHandle>(cluster_->recv_handles_));
-  handle->src = src;
-  handle->tag = tag;
+  const RequestId id =
+      cluster_->open_request(false, Message{src, rank_, tag, 0, {}});
+  Request& r = cluster_->requests_[id.slot];
 
   const MatchTable<Message>::Key key{src, tag};
   if (std::optional<Message> m = arrived_.pop(key)) {
-    handle->ready = true;
-    handle->payload = std::move(m->payload);
-    handle->bytes = m->bytes;
-    return handle;
+    r.m = *m;
+    r.complete = true;
+    return id;
   }
-  posted_.push(key, handle);
+  posted_.push(key, id.slot);
   if (cluster_->protocol() == Protocol::kRendezvous) {
     // A sender parked on this key gets its clear-to-send now; otherwise
     // the receive waits, ungranted, for a request-to-send.
     if (const std::optional<std::uint32_t> sender = rts_pending_.pop(key)) {
-      handle->granted = true;
+      r.granted = true;
       cluster_->clear_to_send(*sender);
     }
   }
-  return handle;
+  return id;
 }
 
 void Endpoint::rts_arrived(std::uint32_t transfer) {
@@ -69,10 +64,11 @@ void Endpoint::rts_arrived(std::uint32_t transfer) {
   const MatchTable<Message>::Key key{m.src, m.tag};
   // Grants go to posted receives in posting order, so the ungranted ones
   // are always a suffix of the key's FIFO.
-  std::shared_ptr<RecvHandle>* receiver = posted_.find_if(
-      key, [](const std::shared_ptr<RecvHandle>& h) { return !h->granted; });
+  std::vector<Request>& requests = cluster_->requests_;
+  const std::uint32_t* receiver = posted_.find_if(
+      key, [&](std::uint32_t slot) { return !requests[slot].granted; });
   if (receiver) {
-    (*receiver)->granted = true;
+    requests[*receiver].granted = true;
     cluster_->clear_to_send(transfer);
     return;
   }
@@ -85,51 +81,23 @@ void Endpoint::clear() {
   rts_pending_.clear();
 }
 
-void Endpoint::when_done(const std::shared_ptr<SendHandle>& h, Waiter fn) {
-  TILO_REQUIRE(h != nullptr, "null send handle");
-  if (h->done) {
-    fn();
-    return;
-  }
-  TILO_REQUIRE(!h->waiter, "send handle already has a waiter");
-  h->waiter = std::move(fn);
-}
-
-void Endpoint::when_ready(const std::shared_ptr<RecvHandle>& h, Waiter fn) {
-  TILO_REQUIRE(h != nullptr, "null recv handle");
-  if (h->ready) {
-    fn();
-    return;
-  }
-  TILO_REQUIRE(!h->waiter, "recv handle already has a waiter");
-  h->waiter = std::move(fn);
-}
-
 void Endpoint::post_blocking(int dst, i64 tag, i64 bytes, Payload payload) {
   TILO_REQUIRE(dst >= 0 && dst < cluster_->num_nodes(), "bad destination ",
                dst);
   TILO_REQUIRE(dst != rank_, "self-send is not supported");
   TILO_REQUIRE(bytes >= 0, "negative message size");
-  cluster_->start_blocking_transfer(
-      Message{rank_, dst, tag, bytes, std::move(payload)});
+  cluster_->start_blocking_transfer(Message{rank_, dst, tag, bytes, payload});
 }
 
-void Endpoint::deliver(Message m) {
+void Endpoint::deliver(const Message& m) {
   cluster_->track_delivered(m.bytes);
   const MatchTable<Message>::Key key{m.src, m.tag};
-  if (std::optional<std::shared_ptr<RecvHandle>> posted = posted_.pop(key)) {
-    RecvHandle& h = **posted;
-    h.ready = true;
-    h.payload = std::move(m.payload);
-    h.bytes = m.bytes;
-    if (h.waiter) {
-      auto w = std::move(h.waiter);
-      h.waiter = nullptr;
-      w();
-    }
+  if (const std::optional<std::uint32_t> slot = posted_.pop(key)) {
+    cluster_->requests_[*slot].m = m;
+    cluster_->complete_request(*slot);
     return;
   }
-  arrived_.push(key, std::move(m));
+  arrived_.push(key, m);
 }
 
 }  // namespace tilo::msg

@@ -12,44 +12,39 @@
 // after which the message is "kernel-ready" and a matching irecv completes.
 #pragma once
 
+#include <coroutine>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "tilo/msg/match_table.hpp"
 #include "tilo/msg/message.hpp"
 #include "tilo/obs/sink.hpp"
 #include "tilo/sim/resource.hpp"
-#include "tilo/util/callback.hpp"
 
 namespace tilo::msg {
 
 class Cluster;
 
-/// Handle waiters hold small trivially-copyable continuations (the
-/// executors' coroutine resumers), stored inline — no allocation per wait.
-using Waiter = util::SmallCallback<40>;
-
-/// Completion state of a nonblocking send.  `done` means the local pipeline
-/// (kernel copy + wire send half) finished and the send buffer is free.
-struct SendHandle {
-  bool done = false;
-  Waiter waiter;
-  i64 bytes = 0;
-};
-
-/// Completion state of a nonblocking receive.  `ready` means the message is
-/// in the kernel buffer; the CPU-side A3 copy is still the caller's to pay.
-struct RecvHandle {
-  bool ready = false;
-  /// Rendezvous: a clear-to-send has been granted against this receive.
+/// One nonblocking request's slot in the cluster's request table.  A slot
+/// lives from isend/irecv until the program that waits on it resumes
+/// (msg::Wait), or until Cluster::reclaim/reset.
+struct Request {
+  /// Send: the message sent (its payload already handed on).  Receive:
+  /// (src, dst, tag) at post, then the matched message.
+  Message m;
+  /// The program parked in msg::Wait on this request, if any.
+  std::coroutine_handle<> waiter;
+  sim::Time parked_at = 0;
+  std::uint32_t gen = 0;  ///< bumped on release: stale ids fail
+  bool live = false;
+  bool send = false;
+  /// Send: the local pipeline (kernel copy + wire send half) finished and
+  /// the send buffer is free.  Receive: the message is in the kernel
+  /// buffer; the CPU-side A3 copy is still the caller's to pay.
+  bool complete = false;
+  /// Rendezvous receive: a clear-to-send has been granted against it.
   bool granted = false;
-  Waiter waiter;
-  int src = -1;
-  i64 tag = 0;
-  Payload payload;
-  i64 bytes = 0;
 };
 
 /// The per-rank endpoint.  Created and owned by Cluster.
@@ -72,20 +67,16 @@ class Endpoint {
   }
 
   /// Nonblocking send (MPI_Isend).  The caller must charge A1 via cpu()
-  /// first.  Requires a DMA-capable overlap level.
-  std::shared_ptr<SendHandle> isend(int dst, i64 tag, i64 bytes,
-                                    Payload payload = {});
+  /// first.  Requires a DMA-capable overlap level.  The returned id is
+  /// waited on with msg::Wait; an id never waited on keeps its slot until
+  /// the cluster is reset.
+  RequestId isend(int dst, i64 tag, i64 bytes, Payload payload = {});
 
   /// Nonblocking receive (MPI_Irecv): posts the buffer; matches by
   /// (src, tag), FIFO within a key.  Matches an already-arrived message
   /// immediately (the paper's "underlying layers receive the message before
   /// the actual issue of the receive call").
-  std::shared_ptr<RecvHandle> irecv(int src, i64 tag);
-
-  /// Runs `fn` when the send pipeline completes (immediately if done).
-  static void when_done(const std::shared_ptr<SendHandle>& h, Waiter fn);
-  /// Runs `fn` when the message is kernel-ready (immediately if ready).
-  static void when_ready(const std::shared_ptr<RecvHandle>& h, Waiter fn);
+  RequestId irecv(int src, i64 tag);
 
   /// Blocking-path transfer: the caller has already charged the whole send
   /// side (A1 + B3 + B4) on its CPU; this just delivers the message after
@@ -109,7 +100,7 @@ class Endpoint {
 
   /// Called by Cluster when a message addressed to this rank becomes
   /// kernel-ready.
-  void deliver(Message m);
+  void deliver(const Message& m);
 
   /// Rendezvous protocol: the request-to-send of the cluster's in-flight
   /// transfer `transfer` reached this rank.  Grants a clear-to-send
@@ -125,7 +116,7 @@ class Endpoint {
   int rank_;
 
   MatchTable<Message> arrived_;
-  MatchTable<std::shared_ptr<RecvHandle>> posted_;
+  MatchTable<std::uint32_t> posted_;  // request slots of posted receives
   // Rendezvous: senders (cluster transfer ids) parked until a receive.
   MatchTable<std::uint32_t> rts_pending_;
 };

@@ -1,24 +1,26 @@
-// Messages exchanged between simulated ranks.
+// Messages exchanged between simulated ranks, and the ids of the
+// nonblocking requests that move them.
 #pragma once
 
-#include <memory>
-#include <vector>
+#include <cstdint>
+#include <type_traits>
 
-#include "tilo/lattice/box.hpp"
-#include "tilo/sim/engine.hpp"
+#include "tilo/util/math.hpp"
 
 namespace tilo::msg {
 
 using util::i64;
 
-/// Optional functional payload: region values concatenated in the sender's
-/// region order (the receiver reconstructs the region list from the tag, so
-/// no geometry travels with the message).  Timed runs leave `data` null and
-/// only the byte count matters.
+/// Optional functional payload: the index of a value buffer owned by the
+/// cluster (Cluster::make_payload), holding region values concatenated in
+/// the sender's region order (the receiver reconstructs the region list
+/// from the tag, so no geometry travels with the message).  Timed runs
+/// carry none; only the byte count matters.
 struct Payload {
-  std::shared_ptr<const std::vector<double>> data;
+  static constexpr std::uint32_t kNone = UINT32_MAX;
+  std::uint32_t index = kNone;
 
-  bool has_data() const { return data != nullptr; }
+  bool has_data() const { return index != kNone; }
 };
 
 /// A message in flight.
@@ -29,5 +31,19 @@ struct Message {
   i64 bytes = 0;
   Payload payload;
 };
+
+/// A nonblocking request (MPI_Request): a slot of the cluster's request
+/// table plus the generation that slot had when the request was posted.
+/// Waiting releases the slot and bumps its generation, so a stale or
+/// already-waited id is detected instead of aliasing a newer request.
+struct RequestId {
+  std::uint32_t slot = UINT32_MAX;
+  std::uint32_t gen = 0;
+
+  friend bool operator==(RequestId, RequestId) = default;
+};
+
+static_assert(std::is_trivially_copyable_v<Message>);
+static_assert(std::is_trivially_copyable_v<RequestId>);
 
 }  // namespace tilo::msg

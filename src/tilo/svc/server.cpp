@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <ostream>
 

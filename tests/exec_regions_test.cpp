@@ -5,9 +5,12 @@
 
 #include <set>
 
+#include "tilo/core/problem.hpp"
+#include "tilo/exec/comm_table.hpp"
 #include "tilo/exec/plan.hpp"
 #include "tilo/exec/regions.hpp"
 #include "tilo/loopnest/workloads.hpp"
+#include "tilo/util/rng.hpp"
 
 using namespace tilo;
 using exec::CommRegion;
@@ -156,4 +159,95 @@ TEST(PlanTest, ExplicitMappingOverridesLargestRule) {
       Vec{4, 4, 1});
   EXPECT_EQ(plan.mapped_dim, 2u);
   EXPECT_EQ(plan.mapping.num_ranks(), 16);
+}
+
+namespace {
+
+bool same_comms(const std::vector<TileComm>& a,
+                const std::vector<TileComm>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (a[i].offset != b[i].offset || a[i].points != b[i].points ||
+        a[i].dir != b[i].dir)
+      return false;
+  return true;
+}
+
+/// Number of tiles whose class entry differs from the tile's own incoming,
+/// outgoing, volume or working set.
+i64 mismatching_tiles(const TiledSpace& space) {
+  exec::CommTable table;
+  table.build(space);
+  i64 bad = 0;
+  space.for_each_tile([&](const Vec& t) {
+    const exec::CommTable::TileClass& c = table.tile_class(t);
+    const Box box = space.tile_iterations(t);
+    if (!same_comms(c.in, exec::incoming(space, t)) ||
+        !same_comms(c.out, exec::outgoing(space, t)) ||
+        c.volume != box.volume() ||
+        c.ws_cells != exec::working_set_cells(space.deps(), box))
+      ++bad;
+  });
+  return bad;
+}
+
+}  // namespace
+
+TEST(CommTableTest, ThinLowEdgeTileGetsItsOwnNeighbourClass) {
+  // The low-edge tile along dimension 0 holds one column (3..3) while the
+  // dependence (2,0) reaches two: tile 1 receives 4 points along (1,0),
+  // tiles 2.. receive 8, so tile 1 cannot share the interior class.
+  const LoopNest nest("thin", Box(Vec{3, 0}, Vec{30, 7}),
+                      DependenceSet({Vec{2, 0}, Vec{0, 1}}));
+  const TiledSpace space(nest, RectTiling(Vec{4, 4}));
+  ASSERT_EQ(exec::incoming(space, Vec{1, 0})[0].points, 4);
+  ASSERT_EQ(exec::incoming(space, Vec{2, 0})[0].points, 8);
+  EXPECT_EQ(mismatching_tiles(space), 0);
+}
+
+TEST(CommTableTest, ClassesAreExactOnRandomMisalignedDomains) {
+  util::Rng rng(17);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t dims = static_cast<std::size_t>(rng.uniform(1, 3));
+    Vec sides(dims), lo(dims), hi(dims);
+    for (std::size_t d = 0; d < dims; ++d) {
+      // One side of at least 2, so some nonzero dependence fits a tile.
+      sides[d] = rng.uniform(d == 0 ? 2 : 1, 6);
+      lo[d] = rng.uniform(-5, 9);
+      hi[d] = lo[d] + rng.uniform(0, 6 * sides[d]);
+    }
+    // Nonnegative dependences contained in one tile, each nonzero.
+    std::vector<Vec> deps;
+    const int ndeps = static_cast<int>(rng.uniform(1, 3));
+    while (static_cast<int>(deps.size()) < ndeps) {
+      Vec d(dims);
+      for (std::size_t i = 0; i < dims; ++i)
+        d[i] = rng.uniform(0, sides[i] - 1);
+      if (!d.is_zero()) deps.push_back(d);
+    }
+    const LoopNest nest("random", Box(lo, hi), DependenceSet(deps));
+    const TiledSpace space(nest, RectTiling(sides));
+    EXPECT_EQ(mismatching_tiles(space), 0)
+        << "trial " << trial << ": domain " << lo.str() << ".." << hi.str()
+        << " sides " << sides.str();
+  }
+}
+
+TEST(CommTableTest, PaperSpacesKeepFourProfilesPerDimension) {
+  // Tile-aligned low edges need no extra profile: the key, and so every
+  // timed paper-space result, is what it was before the thin-edge profile.
+  for (const core::Problem& p :
+       {core::paper_problem_i(), core::paper_problem_ii(),
+        core::paper_problem_iii()}) {
+    for (const i64 v : {8, 59, 116, 227, 444}) {
+      const exec::TilePlan plan = p.plan(v, sched::ScheduleKind::kOverlap);
+      const TiledSpace& space = plan.space;
+      exec::CommTable table;
+      table.build(space);
+      for (std::size_t d = 0; d < space.dims(); ++d)
+        EXPECT_EQ(table.count[d],
+                  std::min<i64>(space.tile_space().extent(d), 4));
+      EXPECT_EQ(mismatching_tiles(space), 0) << p.nest.name() << " V=" << v;
+    }
+  }
 }

@@ -90,3 +90,35 @@ TEST(MessageLossTest, SenderOfLostMessageStillProgresses) {
     EXPECT_EQ(what.find("only 0 of"), std::string::npos) << what;
   }
 }
+
+TEST(MessageLossTest, StalledRunGivesBackFramesAndRequests) {
+  // A stall leaves programs parked on requests that will never complete.
+  // run_plan destroys them (their frames go back to the workspace's arena,
+  // which run_plan checks is empty) and releases every request slot, so
+  // the same workspace then runs the plan exactly like a fresh one.
+  const LoopNest nest = loop::stencil3d_nest(8, 8, 16);
+  for (const auto kind : {ScheduleKind::kNonOverlap, ScheduleKind::kOverlap}) {
+    const exec::TilePlan plan =
+        exec::make_plan(nest, tile::RectTiling(Vec{4, 4, 4}), kind);
+    exec::RunWorkspace ws;
+    for (const util::i64 which : {0, 7, 3}) {
+      exec::RunOptions lossy;
+      lossy.faults.drop_message = which;
+      try {
+        exec::run_plan(nest, plan, fast_model(), lossy, &ws);
+        FAIL() << "expected a stall diagnostic";
+      } catch (const util::Error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("stalled"), std::string::npos) << what;
+        EXPECT_EQ(what.find(" 0 programs reclaimed"), std::string::npos)
+            << what;
+      }
+    }
+    const exec::RunResult reused =
+        exec::run_plan(nest, plan, fast_model(), {}, &ws);
+    const exec::RunResult fresh = exec::run_plan(nest, plan, fast_model());
+    EXPECT_EQ(reused.completion, fresh.completion);
+    EXPECT_EQ(reused.events, fresh.events);
+    EXPECT_EQ(reused.traffic, fresh.traffic);
+  }
+}

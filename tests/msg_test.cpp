@@ -3,10 +3,12 @@
 // models.  Timings are verified against hand-computed stage sums.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <map>
 #include <memory>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -15,6 +17,7 @@
 #include "tilo/msg/match_table.hpp"
 #include "tilo/trace/timeline.hpp"
 #include "tilo/util/rng.hpp"
+#include "wait_helper.hpp"
 
 using namespace tilo;
 using mach::AffineCost;
@@ -24,6 +27,7 @@ using msg::Cluster;
 using msg::Network;
 using sim::Time;
 using util::i64;
+using testing_support::on_complete;
 
 namespace {
 
@@ -80,13 +84,10 @@ TEST(TransferTest, NonblockingPipelineTiming) {
   Time send_done = -1;
   Time recv_ready = -1;
   auto rh = c.node(1).irecv(0, 7);
-  msg::Endpoint::when_ready(rh, [&] { recv_ready = c.engine().now(); });
+  on_complete(c, rh, [&](msg::Message) { recv_ready = c.engine().now(); });
   c.engine().at(0, [&] {
-    auto sh = c.node(0).isend(1, 7, 100);
-    // The cluster keeps the handle alive while the transfer is in flight,
-    // so the waiter (a trivially-copyable SmallCallback) needs no capture
-    // of sh.
-    msg::Endpoint::when_done(sh, [&] { send_done = c.engine().now(); });
+    const msg::RequestId sh = c.node(0).isend(1, 7, 100);
+    on_complete(c, sh, [&](msg::Message) { send_done = c.engine().now(); });
   });
   c.run();
   EXPECT_EQ(send_done, 70 * kUs);
@@ -103,8 +104,8 @@ TEST(TransferTest, SharedChannelSerializesTwoSends) {
   Time ready2 = -1;
   auto r1 = c.node(1).irecv(0, 1);
   auto r2 = c.node(2).irecv(0, 2);
-  msg::Endpoint::when_ready(r1, [&] { ready1 = c.engine().now(); });
-  msg::Endpoint::when_ready(r2, [&] { ready2 = c.engine().now(); });
+  on_complete(c, r1, [&](msg::Message) { ready1 = c.engine().now(); });
+  on_complete(c, r2, [&](msg::Message) { ready2 = c.engine().now(); });
   c.engine().at(0, [&] {
     c.node(0).isend(1, 1, 100);
     c.node(0).isend(2, 2, 100);
@@ -120,7 +121,7 @@ TEST(TransferTest, ReceiveChannelSharedWithSendsUnderKDma) {
   Cluster c(2, test_model(), OverlapLevel::kDma);
   Time ready = -1;
   auto r = c.node(1).irecv(0, 1);
-  msg::Endpoint::when_ready(r, [&] { ready = c.engine().now(); });
+  on_complete(c, r, [&](msg::Message) { ready = c.engine().now(); });
   c.engine().at(0, [&] {
     c.node(0).isend(1, 1, 100);   // arrives at node 1 at t = 75 us
     c.node(1).isend(0, 9, 100);   // occupies node 1's channel [0, 70]
@@ -136,7 +137,7 @@ TEST(TransferTest, DuplexChannelsDoNotInterfere) {
   Cluster c(2, test_model(), OverlapLevel::kDuplexDma);
   Time ready = -1;
   auto r = c.node(1).irecv(0, 1);
-  msg::Endpoint::when_ready(r, [&] { ready = c.engine().now(); });
+  on_complete(c, r, [&](msg::Message) { ready = c.engine().now(); });
   c.engine().at(0, [&] {
     c.node(0).isend(1, 1, 100);
     c.node(1).isend(0, 9, 100);  // send channel only
@@ -154,9 +155,9 @@ TEST(TransferTest, SharedBusSerializesAllWireTime) {
     Time last_ready = -1;
     auto r1 = c.node(1).irecv(0, 1);
     auto r2 = c.node(3).irecv(2, 2);
-    msg::Endpoint::when_ready(r1, [&] { last_ready = std::max(last_ready,
+    on_complete(c, r1, [&](msg::Message) { last_ready = std::max(last_ready,
                                                               c.engine().now()); });
-    msg::Endpoint::when_ready(r2, [&] { last_ready = std::max(last_ready,
+    on_complete(c, r2, [&](msg::Message) { last_ready = std::max(last_ready,
                                                               c.engine().now()); });
     c.engine().at(0, [&] {
       c.node(0).isend(1, 1, 100);
@@ -177,8 +178,8 @@ TEST(MatchingTest, ArrivalBeforePostMatchesImmediately) {
   c.engine().at(0, [&] { c.node(0).isend(1, 42, 8); });
   // Post the receive long after the message landed.
   c.engine().at(1'000'000'000, [&] {
-    auto h = c.node(1).irecv(0, 42);
-    ready_at_post = h->ready;
+    const msg::RequestId h = c.node(1).irecv(0, 42);
+    ready_at_post = c.request(h).complete;
   });
   c.run();
   EXPECT_TRUE(ready_at_post);
@@ -186,10 +187,14 @@ TEST(MatchingTest, ArrivalBeforePostMatchesImmediately) {
 
 TEST(MatchingTest, TagsKeepMessagesApart) {
   Cluster c(2, test_model());
-  auto ha = c.node(1).irecv(0, 1);
-  auto hb = c.node(1).irecv(0, 2);
+  const msg::RequestId ha = c.node(1).irecv(0, 1);
+  const msg::RequestId hb = c.node(1).irecv(0, 2);
   bool a_ready_first = false;
-  msg::Endpoint::when_ready(hb, [&] { a_ready_first = ha->ready; });
+  bool b_ready = false;
+  on_complete(c, hb, [&](msg::Message) {
+    a_ready_first = c.request(ha).complete;
+    b_ready = true;
+  });
   c.engine().at(0, [&] {
     // Send tag 1 first; tag 2 second — each matches its own handle even
     // though both come from the same source.
@@ -197,26 +202,28 @@ TEST(MatchingTest, TagsKeepMessagesApart) {
     c.node(0).isend(1, 2, 8);
   });
   c.run();
-  EXPECT_TRUE(ha->ready);
-  EXPECT_TRUE(hb->ready);
+  EXPECT_TRUE(c.request(ha).complete);
+  EXPECT_TRUE(b_ready);
   EXPECT_TRUE(a_ready_first);  // FIFO on the shared channel
 }
 
 TEST(MatchingTest, SameTagFifoWithinKey) {
   Cluster c(2, test_model());
   // Payloads distinguish the two messages.
-  auto p1 = std::make_shared<std::vector<double>>(std::vector<double>{1.0});
-  auto p2 = std::make_shared<std::vector<double>>(std::vector<double>{2.0});
+  const msg::Payload p1 = c.make_payload();
+  c.payload_values(p1).push_back(1.0);
+  const msg::Payload p2 = c.make_payload();
+  c.payload_values(p2).push_back(2.0);
   c.engine().at(0, [&] {
-    c.node(0).isend(1, 5, 8, msg::Payload{p1});
-    c.node(0).isend(1, 5, 8, msg::Payload{p2});
+    c.node(0).isend(1, 5, 8, p1);
+    c.node(0).isend(1, 5, 8, p2);
   });
   c.run();
-  auto h1 = c.node(1).irecv(0, 5);
-  auto h2 = c.node(1).irecv(0, 5);
-  ASSERT_TRUE(h1->ready && h2->ready);
-  EXPECT_DOUBLE_EQ((*h1->payload.data)[0], 1.0);
-  EXPECT_DOUBLE_EQ((*h2->payload.data)[0], 2.0);
+  const msg::RequestId h1 = c.node(1).irecv(0, 5);
+  const msg::RequestId h2 = c.node(1).irecv(0, 5);
+  ASSERT_TRUE(c.request(h1).complete && c.request(h2).complete);
+  EXPECT_DOUBLE_EQ(c.payload_values(c.request(h1).m.payload)[0], 1.0);
+  EXPECT_DOUBLE_EQ(c.payload_values(c.request(h2).m.payload)[0], 2.0);
 }
 
 TEST(MatchingTest, FifoWithinKeyWhenKeysInterleave) {
@@ -233,9 +240,9 @@ TEST(MatchingTest, FifoWithinKeyWhenKeysInterleave) {
   c.run();
   EXPECT_EQ(c.node(2).pending_entries(), 12u);
   for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(c.node(2).irecv(1, 7)->bytes, 300 + i);
-    EXPECT_EQ(c.node(2).irecv(0, 8)->bytes, 200 + i);
-    EXPECT_EQ(c.node(2).irecv(0, 7)->bytes, 100 + i);
+    EXPECT_EQ(c.request(c.node(2).irecv(1, 7)).m.bytes, 300 + i);
+    EXPECT_EQ(c.request(c.node(2).irecv(0, 8)).m.bytes, 200 + i);
+    EXPECT_EQ(c.request(c.node(2).irecv(0, 7)).m.bytes, 100 + i);
   }
   EXPECT_EQ(c.node(2).pending_entries(), 0u);
 }
@@ -324,7 +331,7 @@ TEST(ClusterTest, ResetLeavesEveryMatchTableEmpty) {
   EXPECT_EQ(c.node(1).pending_entries(), 1u);
   c.reset(3, test_model());
   for (int r = 0; r < 3; ++r) EXPECT_EQ(c.node(r).pending_entries(), 0u);
-  EXPECT_FALSE(c.node(1).irecv(0, 1)->ready);
+  EXPECT_FALSE(c.request(c.node(1).irecv(0, 1)).complete);
 }
 
 TEST(BlockingPathTest, DeliversAfterLatencyOnly) {
@@ -333,7 +340,7 @@ TEST(BlockingPathTest, DeliversAfterLatencyOnly) {
   Cluster c(2, test_model(), OverlapLevel::kNone);
   Time ready = -1;
   auto h = c.node(1).irecv(0, 3);
-  msg::Endpoint::when_ready(h, [&] { ready = c.engine().now(); });
+  on_complete(c, h, [&](msg::Message) { ready = c.engine().now(); });
   c.engine().at(0, [&] { c.node(0).post_blocking(1, 3, 64); });
   c.run();
   EXPECT_EQ(ready, 5 * kUs);
@@ -406,4 +413,108 @@ TEST(DeterminismTest, IdenticalRunsProduceIdenticalTimes) {
     return c.run();
   };
   EXPECT_EQ(run(), run());
+}
+
+namespace {
+
+/// Waits on `id` and records the util::Error the wait throws, if any.
+testing_support::Detached wait_catching(Cluster& c, msg::RequestId id,
+                                        std::string& error) {
+  try {
+    (void)co_await msg::Wait(c, id);
+  } catch (const util::Error& e) {
+    error = e.what();
+  }
+}
+
+}  // namespace
+
+TEST(MsgRequestTest, WaitReleasesTheIdAndAStaleIdThrows) {
+  Cluster c(2, test_model());
+  const msg::RequestId r = c.node(1).irecv(0, 1);
+  i64 got = -1;
+  on_complete(c, r, [&](msg::Message m) { got = m.bytes; });
+  c.engine().at(0, [&] { c.node(0).isend(1, 1, 24); });
+  c.run();
+  EXPECT_EQ(got, 24);
+  // The send was never waited on: it stays live.  The receive was.
+  EXPECT_EQ(c.live_requests(), 1u);
+  EXPECT_THROW(c.request(r), util::Error);
+  EXPECT_THROW(msg::Wait(c, r).await_ready(), util::Error);
+
+  // The freed slot is reused under a new generation; the old id stays
+  // stale and never aliases the new request.
+  const msg::RequestId again = c.node(1).irecv(0, 2);
+  EXPECT_EQ(again.slot, r.slot);
+  EXPECT_NE(again.gen, r.gen);
+  EXPECT_FALSE(c.request(again).complete);
+  EXPECT_THROW(c.request(r), util::Error);
+  EXPECT_THROW(c.request(msg::RequestId{}), util::Error);
+}
+
+TEST(MsgRequestTest, DoubleWaitThrows) {
+  Cluster c(2, test_model());
+  const msg::RequestId r = c.node(1).irecv(0, 1);
+  bool first_done = false;
+  on_complete(c, r, [&](msg::Message) { first_done = true; });
+  // A second waiter on a pending request.
+  std::string second;
+  wait_catching(c, r, second);
+  EXPECT_NE(second.find("already has a waiter"), std::string::npos)
+      << second;
+  c.engine().at(0, [&] { c.node(0).isend(1, 1, 8); });
+  c.run();
+  EXPECT_TRUE(first_done);
+  // A wait on the id the first wait released.
+  std::string third;
+  wait_catching(c, r, third);
+  EXPECT_NE(third.find("stale request id"), std::string::npos) << third;
+}
+
+TEST(MsgRequestTest, DiscardedIdsAreReclaimedAcrossReset) {
+  Cluster c(3, test_model());
+  std::vector<msg::RequestId> old;
+  for (int i = 0; i < 4; ++i) old.push_back(c.node(1).irecv(0, i));
+  c.engine().at(0, [&] {
+    for (int i = 0; i < 6; ++i) c.node(0).isend(1, i, 8);  // ids discarded
+  });
+  c.run();
+  EXPECT_EQ(c.live_requests(), 10u);
+  c.reset(3, test_model());
+  EXPECT_EQ(c.live_requests(), 0u);
+  for (const msg::RequestId id : old) EXPECT_THROW(c.request(id), util::Error);
+
+  // The same traffic again reuses the reclaimed slots: the table does not
+  // grow across resets.
+  for (int round = 0; round < 3; ++round) {
+    std::uint32_t top = 0;
+    for (int i = 0; i < 4; ++i)
+      top = std::max(top, c.node(1).irecv(0, i).slot);
+    c.engine().at(0, [&] {
+      for (int i = 0; i < 6; ++i)
+        top = std::max(top, c.node(0).isend(1, i, 8).slot);
+    });
+    c.run();
+    EXPECT_LT(top, 10u);
+    EXPECT_EQ(c.live_requests(), 10u);
+    c.reset(3, test_model());
+  }
+}
+
+TEST(MsgRequestTest, ReclaimDestroysParkedWaitersAndFreesPayloads) {
+  Cluster c(2, test_model());
+  // A waiter that never completes: nothing is ever sent to it.
+  bool resumed = false;
+  on_complete(c, c.node(1).irecv(0, 1), [&](msg::Message) { resumed = true; });
+  // A payload lost on the wire goes back to the cluster.
+  c.inject_message_loss(0);
+  const msg::Payload lost = c.make_payload();
+  c.payload_values(lost).assign(16, 1.0);
+  c.engine().at(0, [&] { c.node(0).isend(1, 2, 8, lost); });
+  c.run();
+  EXPECT_EQ(c.reclaim(), 1u);
+  EXPECT_FALSE(resumed);
+  EXPECT_EQ(c.live_requests(), 0u);
+  EXPECT_EQ(c.make_payload().index, lost.index);  // recycled, emptied
+  EXPECT_TRUE(c.payload_values(lost).empty());
 }

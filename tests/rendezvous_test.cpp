@@ -9,6 +9,7 @@
 #include "tilo/exec/run.hpp"
 #include "tilo/loopnest/workloads.hpp"
 #include "tilo/msg/cluster.hpp"
+#include "wait_helper.hpp"
 
 using namespace tilo;
 using mach::AffineCost;
@@ -17,6 +18,7 @@ using msg::Cluster;
 using msg::Protocol;
 using sim::Time;
 using util::i64;
+using testing_support::on_complete;
 
 namespace {
 
@@ -49,7 +51,7 @@ TEST(RendezvousTest, PostedReceiveGrantsAfterOneRoundTrip) {
             msg::Network::kSwitched, nullptr, Protocol::kRendezvous);
   Time ready = -1;
   auto h = c.node(1).irecv(0, 1);
-  msg::Endpoint::when_ready(h, [&] { ready = c.engine().now(); });
+  on_complete(c, h, [&](msg::Message) { ready = c.engine().now(); });
   c.engine().at(0, [&] { c.node(0).isend(1, 1, 100); });
   c.run();
   EXPECT_EQ(ready, (10 + 70 + 5 + 70) * kUs);
@@ -64,7 +66,7 @@ TEST(RendezvousTest, UnpostedReceiveParksTheSender) {
   c.engine().at(0, [&] { c.node(0).isend(1, 1, 100); });
   c.engine().at(100 * kUs, [&] {
     auto h = c.node(1).irecv(0, 1);
-    msg::Endpoint::when_ready(h, [&] { ready = c.engine().now(); });
+    on_complete(c, h, [&](msg::Message) { ready = c.engine().now(); });
   });
   c.run();
   EXPECT_EQ(ready, (100 + 5 + 70 + 5 + 70) * kUs);
@@ -76,8 +78,8 @@ TEST(RendezvousTest, SendDoneWaitsForHandshake) {
   Time done = -1;
   c.node(1).irecv(0, 1);
   c.engine().at(0, [&] {
-    auto sh = c.node(0).isend(1, 1, 100);
-    msg::Endpoint::when_done(sh, [&] { done = c.engine().now(); });
+    const msg::RequestId sh = c.node(0).isend(1, 1, 100);
+    on_complete(c, sh, [&](msg::Message) { done = c.engine().now(); });
   });
   c.run();
   EXPECT_EQ(done, (10 + 70) * kUs);  // handshake + local pipeline
@@ -86,21 +88,21 @@ TEST(RendezvousTest, SendDoneWaitsForHandshake) {
 TEST(RendezvousTest, TwoSendersFifoPerKey) {
   Cluster c(2, round_model(), mach::OverlapLevel::kDma,
             msg::Network::kSwitched, nullptr, Protocol::kRendezvous);
-  auto p1 = std::make_shared<std::vector<double>>(std::vector<double>{1.0});
-  auto p2 = std::make_shared<std::vector<double>>(std::vector<double>{2.0});
+  const msg::Payload p1 = c.make_payload();
+  c.payload_values(p1).push_back(1.0);
+  const msg::Payload p2 = c.make_payload();
+  c.payload_values(p2).push_back(2.0);
   c.engine().at(0, [&] {
-    c.node(0).isend(1, 5, 8, msg::Payload{p1});
-    c.node(0).isend(1, 5, 8, msg::Payload{p2});
+    c.node(0).isend(1, 5, 8, p1);
+    c.node(0).isend(1, 5, 8, p2);
   });
   std::vector<double> got;
   c.engine().at(1 * kUs, [&] {
     for (int i = 0; i < 2; ++i) {
-      auto h = c.node(1).irecv(0, 5);
-      // Waiters must be trivially copyable; the endpoint owns the posted
-      // handle until delivery, so a raw pointer suffices.
-      msg::RecvHandle* hp = h.get();
-      msg::Endpoint::when_ready(
-          h, [&got, hp] { got.push_back((*hp->payload.data)[0]); });
+      on_complete(c, c.node(1).irecv(0, 5), [&](msg::Message m) {
+        got.push_back(c.payload_values(m.payload)[0]);
+        c.free_payload(m.payload);
+      });
     }
   });
   c.run();
@@ -116,26 +118,27 @@ TEST(RendezvousTest, GrantsGoToTheOldestUngrantedReceive) {
   // ungranted until a third sender arrives.
   Cluster c(2, round_model(), mach::OverlapLevel::kDma,
             msg::Network::kSwitched, nullptr, Protocol::kRendezvous);
-  std::vector<std::shared_ptr<msg::RecvHandle>> h;
-  for (int i = 0; i < 3; ++i) h.push_back(c.node(1).irecv(0, 5));
+  std::vector<msg::RequestId> id;
+  for (int i = 0; i < 3; ++i) id.push_back(c.node(1).irecv(0, 5));
+  auto h = [&](int i) { return c.request(id[static_cast<std::size_t>(i)]); };
   c.engine().at(0, [&] {
     c.node(0).isend(1, 5, 100);
     c.node(0).isend(1, 5, 200);
   });
   bool checked = false;
   c.engine().at(6 * kUs, [&] {
-    EXPECT_TRUE(h[0]->granted && h[1]->granted);
-    EXPECT_FALSE(h[2]->granted);
-    EXPECT_FALSE(h[0]->ready || h[1]->ready);
+    EXPECT_TRUE(h(0).granted && h(1).granted);
+    EXPECT_FALSE(h(2).granted);
+    EXPECT_FALSE(h(0).complete || h(1).complete);
     checked = true;
   });
   c.engine().at(1000 * kUs, [&] { c.node(0).isend(1, 5, 300); });
   c.run();
   EXPECT_TRUE(checked);
-  EXPECT_EQ(h[0]->bytes, 100);
-  EXPECT_EQ(h[1]->bytes, 200);
-  EXPECT_TRUE(h[2]->granted && h[2]->ready);
-  EXPECT_EQ(h[2]->bytes, 300);
+  EXPECT_EQ(h(0).m.bytes, 100);
+  EXPECT_EQ(h(1).m.bytes, 200);
+  EXPECT_TRUE(h(2).granted && h(2).complete);
+  EXPECT_EQ(h(2).m.bytes, 300);
   EXPECT_EQ(c.node(1).pending_entries(), 0u);
 }
 

@@ -1,9 +1,9 @@
-// Allocation bound for the timed run path.  This executable replaces the
+// Allocation count of the timed run path.  This executable replaces the
 // global operator new with a counting one and checks that a warm timed
-// run_plan (workspace already holding the comm table and rank buffers)
-// makes at most kMaxAllocsPerMessage heap allocations per message, under
-// both schedules.  Fixed per-run setup (cluster, endpoints, coroutine
-// frames) is included in the count, so the bound also caps it.
+// run_plan (workspace already holding the comm table, rank geometry, frame
+// arena and cluster tables) allocates exactly the nodes of the returned
+// RunResult::traffic map and nothing else, under both schedules and both
+// protocols: no allocation per run, per message or per event.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -72,27 +72,28 @@ using namespace tilo;
 
 namespace {
 
-constexpr double kMaxAllocsPerMessage = 4.0;
-
-void check_warm_run(sched::ScheduleKind kind) {
+void check_warm_run(sched::ScheduleKind kind,
+                    msg::Protocol protocol = msg::Protocol::kEager) {
   const core::Problem p = core::paper_problem_iii();
   const exec::TilePlan plan = p.plan(116, kind);
   const auto model = std::make_shared<const mach::IdealOverlapModel>(p.machine);
+  exec::RunOptions opts;
+  opts.comm.protocol = protocol;
 
   exec::RunWorkspace ws;
-  (void)exec::run_plan(p.nest, plan, model, {}, &ws);  // warm the workspace
+  (void)exec::run_plan(p.nest, plan, model, opts, &ws);  // warm the workspace
 
   const long before = g_allocs.load();
-  const exec::RunResult warm = exec::run_plan(p.nest, plan, model, {}, &ws);
+  const exec::RunResult warm = exec::run_plan(p.nest, plan, model, opts, &ws);
   const long allocs = g_allocs.load() - before;
 
   ASSERT_GT(warm.messages, 0);
-  const double per_message =
-      static_cast<double>(allocs) / static_cast<double>(warm.messages);
-  EXPECT_LE(per_message, kMaxAllocsPerMessage)
-      << allocs << " allocations for " << warm.messages << " messages";
+  ASSERT_FALSE(warm.traffic.empty());
+  EXPECT_EQ(allocs, static_cast<long>(warm.traffic.size()))
+      << "for " << warm.messages << " messages and " << warm.events
+      << " events";
 
-  const exec::RunResult fresh = exec::run_plan(p.nest, plan, model);
+  const exec::RunResult fresh = exec::run_plan(p.nest, plan, model, opts);
   EXPECT_EQ(warm.completion, fresh.completion);
   EXPECT_EQ(warm.events, fresh.events);
   EXPECT_EQ(warm.messages, fresh.messages);
@@ -118,4 +119,8 @@ TEST(RunAllocTest, WarmOverlapRunStaysUnderAllocationBound) {
 
 TEST(RunAllocTest, WarmNonOverlapRunStaysUnderAllocationBound) {
   check_warm_run(sched::ScheduleKind::kNonOverlap);
+}
+
+TEST(RunAllocTest, WarmRendezvousRunStaysUnderAllocationBound) {
+  check_warm_run(sched::ScheduleKind::kOverlap, msg::Protocol::kRendezvous);
 }

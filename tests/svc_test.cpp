@@ -39,7 +39,7 @@ constexpr const char* kQuickSource =
     "FOR i = 0 TO 15\n FOR j = 0 TO 255\n"
     "  Q(i, j) = 0.5 * (Q(i-1, j) + Q(i, j-1))\n ENDFOR\nENDFOR\n";
 constexpr const char* kSlowSource =
-    "FOR i = 0 TO 255\n FOR j = 0 TO 131071\n"
+    "FOR i = 0 TO 255\n FOR j = 0 TO 262143\n"
     "  S(i, j) = 0.5 * (S(i-1, j) + S(i, j-1))\n ENDFOR\nENDFOR\n";
 
 svc::CompileParams quick_params(std::string name = "quick") {
