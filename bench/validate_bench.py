@@ -17,9 +17,10 @@ match the schema the perf-trajectory tooling expects.
 
 Beyond schema, full-mode records (doc["quick"] is false) must also clear
 the perf-regression thresholds:
-  sweep_throughput  the analytically pruned selection reaches >= 5x the
-                    exhaustive-select throughput with a bit-identical
-                    recommendation, and the serial sweep's events/s is at
+  sweep_throughput  the bound-driven ("pruned") selection reaches
+                    PRUNE_MIN_SPEEDUP times the exhaustive-select
+                    throughput with a bit-identical recommendation, and
+                    the serial sweep's events/s is at
                     least RUN_HOST_MIN_RATIO of a fixed integer loop's
                     iterations/s measured in the same process (a
                     host-normalized floor on the timed run path's cost
@@ -79,7 +80,12 @@ def check_report(rep, name):
 
 
 # Full-mode thresholds (see module docstring).
-PRUNE_MIN_SPEEDUP = 5.0
+# Bound-driven selection over exhaustive selection, both serial on space
+# (i).  Seven full-mode runs on a shared 4-core host read 12.3-13.6x
+# (19 of 72 runs simulated), an asan-ubsan build 13.7-14.1x; 9.5 sits at
+# 0.77 of the lowest.  The analytic slack pruning it replaced read
+# 5.2-6.8x against a 5.0 floor.
+PRUNE_MIN_SPEEDUP = 9.5
 # Serial sweep events/s over the iterations/s of a fixed xorshift loop
 # timed in the same process (bench_sweep_throughput's host_loop_per_sec).
 # The floor used to divide by the bare sim::Engine chain rate, but work on
@@ -137,13 +143,17 @@ def check_sweep(doc):
 
     prune = doc.get("prune")
     require(isinstance(prune, dict), "prune missing")
-    for key in ("slack", "simulated_runs", "total_runs", "speedup",
-                "verdict_identical", "V_overlap", "V_nonoverlap",
-                "V_analytic_overlap", "V_analytic_nonoverlap"):
+    for key in ("simulated_runs", "total_runs", "speedup",
+                "verdict_identical", "bound_sound", "bound_covers_verdict",
+                "bound_share", "V_overlap", "V_nonoverlap"):
         require(key in prune, f"prune.{key} missing")
-    require(prune["slack"] >= 1.0, "prune slack below 1 cannot be certified")
     require(prune["verdict_identical"] is True,
             "pruned recommendation diverged from exhaustive")
+    require(prune["bound_sound"] is True,
+            "a simulated completion fell below its lower bound")
+    require(prune["bound_covers_verdict"] is True,
+            "a height whose bound is within the verdict was not simulated")
+    require(prune["bound_share"] >= 0, "negative bound_share")
     require(0 < prune["simulated_runs"] <= prune["total_runs"],
             "prune run counts inconsistent")
     if not quick:
@@ -151,7 +161,7 @@ def check_sweep(doc):
                 "full-mode prune simulated every run (no pruning happened)")
         require(prune["speedup"] >= PRUNE_MIN_SPEEDUP,
                 f"pruned selection speedup {prune['speedup']:.2f}x below "
-                f"the {PRUNE_MIN_SPEEDUP:.0f}x floor")
+                f"the {PRUNE_MIN_SPEEDUP:.1f}x floor")
 
     require(isinstance(doc.get("V_opt_overlap"), int), "V_opt_overlap missing")
     require(isinstance(doc.get("V_opt_nonoverlap"), int), "V_opt_nonoverlap missing")

@@ -30,13 +30,10 @@ struct SweepPoint {
   std::uint64_t events = 0;
 };
 
-/// Default contending-region slack for sweep_select: a height is simulated
-/// when its model-predicted completion is within this factor of the best
-/// model prediction.  The model's worst observed ranking error on the
-/// three paper spaces is 0.63% (the simulated optimum's prediction sits
-/// within 1.0063x of the predicted minimum), so 1.25 carries ~40x margin
-/// while pruning the expensive small-V points; verify_pruned_selection
-/// certifies it end to end.
+/// The contending-region slack of the analytic pruning that the bound-driven
+/// sweep_select replaced: a height was simulated when its closed-form
+/// prediction lay within this factor of the predicted minimum.  Kept only as
+/// the constant perfbench's traced tune replay prunes with.
 inline constexpr double kDefaultPruneSlack = 1.25;
 
 /// Sweep options.
@@ -55,13 +52,9 @@ struct SweepOptions {
   /// obs::JsonlSink, obs::ReportSink are; trace::Timeline is not).
   obs::Sink* sink = nullptr;
   /// sweep_select only: escape hatch — simulate every height for both
-  /// schedules instead of just the analytic contending region.  Ranks
-  /// nothing, so it runs on any nest (even one without dependences).
+  /// schedules instead of just the heights the completion bound cannot
+  /// rule out.
   bool exhaustive = false;
-  /// sweep_select only: contending-region slack factor (>= 1).  Tighter
-  /// slack simulates fewer points but risks pruning the true optimum;
-  /// verify_pruned_selection detects that.
-  double prune_slack = kDefaultPruneSlack;
 };
 
 /// Runs both schedules (timed mode) for each V in `heights`: the points of
@@ -71,9 +64,9 @@ std::vector<SweepPoint> sweep_tile_height(const Problem& problem,
                                           const SweepOptions& opts = {});
 
 /// The sweep's verdict for one schedule kind: the simulated-optimal height
-/// with its simulated and model-predicted completion times.  This is the
-/// payload the pruned fast path certifies — verify_pruned_selection
-/// requires it bit-identical to the exhaustive sweep's.
+/// with its simulated and model-predicted completion times.  The
+/// bound-driven selection returns it bit-identical to the exhaustive
+/// sweep's.
 struct SweepVerdict {
   i64 V = 0;            ///< simulated-optimal tile height (lowest V on ties)
   i64 g = 0;            ///< its tile volume
@@ -81,42 +74,31 @@ struct SweepVerdict {
   double predicted = 0; ///< plan-level prediction at V (eq. 3 / eq. 4)
 };
 
-/// An analytically pre-pruned sweep: every height is ranked with the
-/// closed-form model (analytic.hpp), and only heights whose predicted
-/// completion lies within prune_slack of the best prediction — the
-/// *contending region*, computed per schedule kind — are simulated.
+/// A bound-driven sweep: every height's plans are bounded with
+/// exec::completion_lower_bound, each kind's smallest-bound height is
+/// simulated, and then every other height whose bound does not exceed that
+/// kind's best simulated completion.  A height left out is provably slower
+/// than one simulated, so the verdicts equal the exhaustive sweep's.
 struct SweepSelection {
-  /// One entry per input height.  Simulated entries carry the same fields
-  /// a sweep_tile_height point does; pruned entries carry the analytic
-  /// predictions (predicted_*), the tile volume g, and zero t_*.
+  /// One entry per input height, carrying g and the plan-level predictions
+  /// one measured point of both kinds carries; t_* and events only for the
+  /// kinds simulated there (0 otherwise).
   std::vector<SweepPoint> points;
   std::vector<std::uint8_t> simulated_overlap;     ///< per-point: timed run?
   std::vector<std::uint8_t> simulated_nonoverlap;
   SweepVerdict best_overlap;
   SweepVerdict best_nonoverlap;
-  /// The model's own argmin per kind; 0 in exhaustive mode (no ranking).
-  i64 V_analytic_overlap = 0;
-  i64 V_analytic_nonoverlap = 0;
   i64 simulated_runs = 0;  ///< timed simulations executed
   i64 total_runs = 0;      ///< what an exhaustive sweep would execute
 };
 
-/// Sweeps `heights` with analytic pre-pruning (or exhaustively, with
-/// opts.exhaustive).  The sweep's recommendation equals the exhaustive
-/// sweep's whenever the contending region contains the true optimum; the
-/// default slack is certified by verify_pruned_selection on the paper
-/// spaces, and tighter slacks can be checked the same way.
+/// Sweeps `heights` with bound-driven selection (or exhaustively, with
+/// opts.exhaustive).  The recommendation equals the exhaustive sweep's by
+/// construction, and which heights are simulated depends only on the
+/// inputs, never on opts.threads.
 SweepSelection sweep_select(const Problem& problem,
                             const std::vector<i64>& heights,
                             const SweepOptions& opts = {});
-
-/// Runs the pruned and the exhaustive sweep and requires bit-identical
-/// recommendations for both kinds; throws util::Error naming the
-/// kind and heights on any divergence (e.g. an over-tight prune_slack).
-/// Returns the pruned selection on success.
-SweepSelection verify_pruned_selection(const Problem& problem,
-                                       const std::vector<i64>& heights,
-                                       const SweepOptions& opts = {});
 
 /// A geometric grid of candidate heights in [lo, hi] (dividing nothing:
 /// heights need not divide the extent; boundary tiles are partial) —

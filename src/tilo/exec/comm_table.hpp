@@ -30,6 +30,12 @@ i64 working_set_cells(const loop::DependenceSet& deps, const Box& box);
 /// the Cartesian product of each dimension's profiles; the table holds one
 /// entry per class, built from its lowest tile, indexed mixed radix, so
 /// its cost is independent of the tile count.
+///
+/// build assembles the classes from per-dimension region lengths instead
+/// of calling the per-tile incoming/outgoing (regions.hpp), which
+/// core::steady_step_shape still uses.  CommTableTest compares every tile
+/// of random misaligned spaces against incoming/outgoing, which keeps the
+/// two implementations of the comm geometry in step.
 struct CommTable {
   /// One class of tiles sharing their comm lists, volume and working set.
   struct TileClass {

@@ -24,15 +24,15 @@ Span tile_span(const tile::TiledSpace& space, std::size_t d, i64 c) {
           std::min(hi, space.domain().hi()[d])};
 }
 
-/// Dimension d of the region tile t_src ships to t_src + e for dependence
-/// `dep`: points p of the producer tile whose value p + dep lands in the
-/// consumer tile, p ∈ B(t_src) ∩ (B(t_src + e) - dep).
-Span region_span(const tile::TiledSpace& space, const Vec& t_src,
-                 const Vec& e, const Vec& dep, std::size_t d) {
-  const Span src = tile_span(space, d, t_src[d]);
-  const Span dst = tile_span(space, d, util::checked_add(t_src[d], e[d]));
-  return {std::max(src.lo, util::checked_sub(dst.lo, dep[d])),
-          std::min(src.hi, util::checked_sub(dst.hi, dep[d]))};
+/// Dimension d of the region the tile at coordinate c ships to c + e_d for
+/// a dependence with component dep_d: points p of the producer tile whose
+/// value p + dep lands in the consumer tile, p ∈ B(c) ∩ (B(c + e) - dep).
+Span region_span(const tile::TiledSpace& space, std::size_t d, i64 c,
+                 i64 e_d, i64 dep_d) {
+  const Span src = tile_span(space, d, c);
+  const Span dst = tile_span(space, d, util::checked_add(c, e_d));
+  return {std::max(src.lo, util::checked_sub(dst.lo, dep_d)),
+          std::min(src.hi, util::checked_sub(dst.hi, dep_d))};
 }
 
 /// True when t_src + e is a tile of the space.
@@ -56,18 +56,21 @@ i64 comm_points(const tile::TiledSpace& space, const Vec& t_src,
   i64 acc = 0;
   for (const Vec& dep : space.deps()) {
     i64 volume = 1;
-    for (std::size_t d = 0; d < t_src.size() && volume > 0; ++d) {
-      const Span s = region_span(space, t_src, e, dep, d);
-      volume = s.hi < s.lo ? 0
-                           : util::checked_mul(
-                                 volume, util::checked_add(s.hi - s.lo, 1));
-    }
+    for (std::size_t d = 0; d < t_src.size() && volume > 0; ++d)
+      volume = util::checked_mul(
+          volume, region_length(space, d, t_src[d], e[d], dep[d]));
     acc = util::checked_add(acc, volume);
   }
   return acc;
 }
 
 }  // namespace
+
+i64 region_length(const tile::TiledSpace& space, std::size_t d, i64 c,
+                  i64 e_d, i64 dep_d) {
+  const Span s = region_span(space, d, c, e_d, dep_d);
+  return s.hi < s.lo ? 0 : util::checked_add(s.hi - s.lo, 1);
+}
 
 std::vector<CommRegion> comm_regions(const tile::TiledSpace& space,
                                      const Vec& t_src, const Vec& e) {
@@ -78,7 +81,7 @@ std::vector<CommRegion> comm_regions(const tile::TiledSpace& space,
     Vec lo(t_src.size());
     Vec hi(t_src.size());
     for (std::size_t d = 0; d < t_src.size(); ++d) {
-      const Span s = region_span(space, t_src, e, deps[i], d);
+      const Span s = region_span(space, d, t_src[d], e[d], deps[i][d]);
       lo[d] = s.lo;
       hi[d] = s.hi;
     }

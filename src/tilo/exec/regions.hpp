@@ -38,6 +38,14 @@ i64 region_points(const std::vector<CommRegion>& regions);
 i64 region_bytes(const std::vector<CommRegion>& regions,
                  int bytes_per_element);
 
+/// Dimension d of comm_points: how many coordinates along d the tile at
+/// coordinate c ships to the tile at c + e_d for a dependence whose d-th
+/// component is dep_d, i.e. |B_d(c) ∩ (B_d(c + e_d) - dep_d)| with B_d a
+/// tile's domain-clipped iteration interval (0 when empty).  A message's
+/// points are the sum over dependences of the product over dimensions.
+i64 region_length(const tile::TiledSpace& space, std::size_t d, i64 c,
+                  i64 e_d, i64 dep_d);
+
 /// Per-tile communication summary used by the cost model and benches.  The
 /// value regions behind it come from comm_regions() on demand.
 struct TileComm {

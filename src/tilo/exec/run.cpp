@@ -7,9 +7,8 @@
 #include <optional>
 #include <vector>
 
-#include "tilo/exec/comm_table.hpp"
-#include "tilo/exec/coro.hpp"
 #include "tilo/exec/regions.hpp"
+#include "tilo/exec/workspace.hpp"
 #include "tilo/util/error.hpp"
 
 namespace tilo::exec {
@@ -19,146 +18,6 @@ namespace {
 using lat::Box;
 using lat::Vec;
 using util::i64;
-
-/// Per-rank distributed state.  `extended` grows `owned` on its low sides by
-/// the maximum dependence component, so every read p - d of an owned point p
-/// is an in-array access: cells outside the domain hold boundary values,
-/// cells owned by neighbors are filled by received messages.
-struct RankState {
-  Box owned;
-  Box extended;
-  std::vector<double> values;  // functional mode only, over `extended`
-
-  double& at(const Vec& p) {
-    return values[static_cast<std::size_t>(extended.linear_index(p))];
-  }
-  double get(const Vec& p) const {
-    return values[static_cast<std::size_t>(extended.linear_index(p))];
-  }
-};
-
-/// Where a plan's ranks sit in its tile space, flat, rebuilt only when the
-/// plan's geometry (tiled space or mapping) changes, so a warm run reads it
-/// without allocating.  Programs walk each owned tile column by linear tile
-/// index: rank r owns columns [first[r], first[r+1]); tile k of column c is
-/// lin[c] + (k - klo)·stride, the neighbour along tile direction e is
-/// lin ∓ delta[e], and its message tag is (consumer lin)·ndirs + e.
-struct RankLayout {
-  bool valid = false;
-  Vec procs;               // mapping key (the space's is the comm table's)
-  std::size_t md = 0;      // mapped dimension
-  i64 klo = 0, khi = 0;    // tile range along it
-  i64 stride = 0;          // linear-index stride along it
-  i64 ndirs = 1;
-  std::vector<i64> delta;  // per tile direction: linear-index offset
-  std::vector<std::size_t> kclass;  // per k - klo: profile(md, k)·radix[md]
-  std::vector<std::size_t> first;   // per rank, plus the end
-  // Per column: coordinates (mapped dimension at klo; only read by the
-  // TileCostModel hook and functional runs), linear index of its klo tile,
-  // class base, and the 2·ndirs neighbour owners (see column_owners).
-  std::vector<Vec> col;
-  std::vector<i64> lin;
-  std::vector<std::size_t> base;
-  std::vector<int> owners;
-  std::vector<RankState> ranks;  // boxes here; values filled per run
-
-  bool matches(const TilePlan& plan) const {
-    return valid && md == plan.mapped_dim && procs == plan.mapping.procs();
-  }
-
-  void build(const TilePlan& plan, const CommTable& comm);
-};
-
-/// Fills `owners` with the rank owning column col - e (entry e) and
-/// col + e (entry ndirs + e) for every tile direction e, -1 outside the
-/// tile space.  A column has one owner, so these hold for every tile of
-/// the column.
-void column_owners(const TilePlan& plan, const Vec& col, i64 ndirs,
-                   int* owners) {
-  const auto& dirs = plan.space.tile_deps();
-  std::fill(owners, owners + 2 * ndirs, -1);
-  for (std::size_t e = 0; e < dirs.size(); ++e) {
-    owners[e] = static_cast<int>(plan.mapping.column_rank(col, dirs[e], -1));
-    owners[static_cast<std::size_t>(ndirs) + e] =
-        static_cast<int>(plan.mapping.column_rank(col, dirs[e], +1));
-  }
-}
-
-/// Owned and extended boxes of `rank`.  A rank can own no tiles when the
-/// block distribution does not divide evenly (e.g. 4 tile columns over 3
-/// processors); it then simply idles.
-void rank_boxes(const TilePlan& plan, int rank, RankState& rs) {
-  const auto& tiling = plan.space.tiling();
-  const Box tiles = plan.mapping.tiles_of_rank(rank);
-  if (tiles.empty()) {
-    rs.owned = tiles;
-    rs.extended = tiles;
-    return;
-  }
-  const Box owned = Box(tiling.tile_origin(tiles.lo()),
-                        tiling.tile_box(tiles.hi()).hi())
-                        .intersect(plan.space.domain());
-  TILO_ASSERT(!owned.empty(), "rank ", rank, " owns no iterations");
-  Vec elo = owned.lo();
-  for (std::size_t d = 0; d < elo.size(); ++d)
-    elo[d] -= plan.space.deps().max_component(d);
-  rs.extended = Box(elo, owned.hi());
-  rs.owned = owned;
-}
-
-void RankLayout::build(const TilePlan& plan, const CommTable& comm) {
-  valid = false;
-  procs = plan.mapping.procs();
-  md = plan.mapped_dim;
-  const Box& ts = plan.space.tile_space();
-  const auto& dirs = plan.space.tile_deps();
-  klo = ts.lo()[md];
-  khi = ts.hi()[md];
-  ndirs = static_cast<i64>(std::max<std::size_t>(1, dirs.size()));
-  std::vector<i64> strides(ts.dims(), 1);
-  for (std::size_t d = ts.dims() - 1; d-- > 0;)
-    strides[d] = util::checked_mul(strides[d + 1], ts.extent(d + 1));
-  stride = strides[md];
-  delta.clear();
-  for (const Vec& e : dirs) {
-    i64 de = 0;
-    for (std::size_t d = 0; d < e.size(); ++d)
-      de = util::checked_add(de, util::checked_mul(e[d], strides[d]));
-    delta.push_back(de);
-  }
-  kclass.clear();
-  for (i64 k = klo; k <= khi; ++k)
-    kclass.push_back(comm.profile(md, k) * comm.radix[md]);
-
-  const int num_ranks = static_cast<int>(plan.mapping.num_ranks());
-  first.assign(1, 0);
-  col.clear();
-  lin.clear();
-  base.clear();
-  owners.clear();
-  ranks.resize(static_cast<std::size_t>(num_ranks));
-  const std::size_t per_column = static_cast<std::size_t>(2 * ndirs);
-  for (int r = 0; r < num_ranks; ++r) {
-    for (const Vec& c : plan.mapping.columns_of_rank(r)) {
-      col.push_back(c);
-      lin.push_back(ts.linear_index(c));
-      base.push_back(comm.column_base(c, md));
-      owners.resize(owners.size() + per_column);
-      column_owners(plan, c, ndirs, &owners[owners.size() - per_column]);
-    }
-    first.push_back(col.size());
-    rank_boxes(plan, r, ranks[static_cast<std::size_t>(r)]);
-  }
-  valid = true;
-}
-
-/// A posted receive of the nonblocking program, waited on at the end of
-/// the step that posted it; its consumer is the next tile of the column.
-struct PendingRecv {
-  msg::RequestId id;
-  const TileComm* comm = nullptr;
-  i64 bytes = 0;  ///< message size, resolved at post time (consumer tile)
-};
 
 /// Run context shared by the rank programs.
 struct Ctx : ProgramContext {
@@ -482,18 +341,6 @@ loop::DenseField assemble_field(const Ctx& ctx) {
 
 }  // namespace
 
-struct RunWorkspace::Impl {
-  /// Declared first so it outlives everything that may hold a frame.
-  FrameArena frames;
-  CommTable comm;
-  RankLayout layout;
-  std::vector<msg::RequestId> sends;
-  std::vector<PendingRecv> recvs;
-  /// Reset per run; its event, transfer, request and payload tables stay
-  /// warm.
-  std::unique_ptr<msg::Cluster> cluster;
-};
-
 RunWorkspace::RunWorkspace() : impl_(std::make_unique<Impl>()) {}
 RunWorkspace::~RunWorkspace() = default;
 RunWorkspace::RunWorkspace(RunWorkspace&&) noexcept = default;
@@ -518,11 +365,7 @@ RunResult run_plan(const loop::LoopNest& nest, const TilePlan& plan,
 
   std::optional<RunWorkspace> local;
   RunWorkspace::Impl& ws = *(workspace ? workspace : &local.emplace())->impl_;
-  if (!ws.comm.matches(plan.space)) {
-    ws.comm.build(plan.space);
-    ws.layout.valid = false;
-  }
-  if (!ws.layout.matches(plan)) ws.layout.build(plan, ws.comm);
+  ws.prepare(plan);
   const std::size_t scratch =
       static_cast<std::size_t>(num_ranks * ws.layout.ndirs);
   ws.sends.resize(scratch);
@@ -549,15 +392,9 @@ RunResult run_plan(const loop::LoopNest& nest, const TilePlan& plan,
     level = opts.comm.level;
   }
 
-  if (ws.cluster) {
-    ws.cluster->reset(static_cast<int>(num_ranks), std::move(model), level,
-                      opts.comm.network, opts.sink, opts.comm.protocol);
-  } else {
-    ws.cluster = std::make_unique<msg::Cluster>(
-        static_cast<int>(num_ranks), std::move(model), level,
-        opts.comm.network, opts.sink, opts.comm.protocol);
-  }
-  ctx.cluster = ws.cluster.get();
+  ctx.cluster = &ws.reset_cluster(static_cast<int>(num_ranks),
+                                 std::move(model), level, opts.comm,
+                                 opts.sink);
   if (opts.faults.drop_message >= 0)
     ctx.cluster->inject_message_loss(opts.faults.drop_message);
   for (RankState& rs : ws.layout.ranks) {

@@ -134,6 +134,30 @@ RunResult run_plan(const loop::LoopNest& nest, const TilePlan& plan,
                    const RunOptions& opts = {},
                    RunWorkspace* workspace = nullptr);
 
+/// A lower bound on run_plan's simulated completion (ns) of a hook-free
+/// timed run of `plan` under `model`, whatever its CommConfig: the maximum
+/// over ranks r of start_r + busy_r.
+///
+///  * busy_r sums every CPU charge the plan's executor makes on r, priced
+///    through the same memoized ns helpers the run uses: ProcB pays
+///    compute, B1+B2+A3 per inbound and A1+B3+B4 per outbound cross-rank
+///    message; ProcNB pays compute, A3 plus the receive stall per inbound
+///    and A1 plus the send stall per outbound cross-rank message.
+///  * start_r is a contention-free lower bound on r's first CPU charge.
+///    Both programs first wait on the first cross-rank input of r's first
+///    tile, which leaves its producer rank p no earlier than start_p plus
+///    the producing tile's compute and the message's send-side charges,
+///    then crosses the wire (ProcB: latency; ProcNB: the eager DMA
+///    pipeline on its link).  Producers precede consumers in rank order,
+///    so one ascending pass computes every start.
+///
+/// A rank's charges serialize on its one CPU after start_r, so the run
+/// cannot finish earlier.  `workspace` is shared with run_plan: bounding
+/// and then running a plan builds its geometry once.
+sim::Time completion_lower_bound(const TilePlan& plan,
+                                 std::shared_ptr<const mach::Model> model,
+                                 RunWorkspace* workspace = nullptr);
+
 /// Opaque reusable execution scratch (see run_plan).  Cheap to construct;
 /// not thread-safe — use one workspace per worker thread.
 class RunWorkspace {
@@ -152,6 +176,9 @@ class RunWorkspace {
   friend RunResult run_plan(const loop::LoopNest&, const TilePlan&,
                             std::shared_ptr<const mach::Model>,
                             const RunOptions&, RunWorkspace*);
+  friend sim::Time completion_lower_bound(const TilePlan&,
+                                         std::shared_ptr<const mach::Model>,
+                                         RunWorkspace*);
 };
 
 /// Convenience: functional run + comparison against the sequential

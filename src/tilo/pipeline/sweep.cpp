@@ -1,24 +1,20 @@
 // core::sweep_select / sweep_tile_height / autotune_tile_height,
-// implemented on the staged pipeline: every point goes through the one
-// measure routine, which runs Tiling → Scheduling → Lowering → Backend
-// through the stage functions (with their verifiers), so every simulated
+// implemented on the staged pipeline: every point is planned by one routine
+// (Tiling → Scheduling → Lowering) and simulated by another (Backend),
+// through the stage functions with their verifiers, so every simulated
 // point has passed the same invariant checks a full compile does.  Lives in
 // the pipeline library because core cannot depend on it.
 #include "tilo/core/sweep.hpp"
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 
-#include "tilo/core/analytic.hpp"
 #include "tilo/core/parallel.hpp"
 #include "tilo/machine/optimize.hpp"
 #include "tilo/pipeline/stages.hpp"
-#include "tilo/util/error.hpp"
 
 namespace tilo::core {
 
@@ -32,37 +28,6 @@ obs::Time wall_ns() {
       .count();
 }
 
-/// The ranking curves the pruning logic consults.  Ideal models keep the
-/// closed-form AnalyticModel (its bytes are the historical contract); a
-/// non-ideal model ranks with the model-aware analytic completion instead,
-/// so pruning decisions track the machine that will actually be simulated.
-struct RankingCurves {
-  const Problem& problem;
-  const AnalyticModel model;
-  const bool use_model;
-
-  explicit RankingCurves(const Problem& p)
-      : problem(p), model(derive_analytic_model(p)),
-        use_model(!p.model->ideal()) {}
-
-  double overlap(i64 V) const {
-    return use_model ? analytic_completion(problem, *problem.model, V,
-                                           ScheduleKind::kOverlap)
-                     : model.total_overlap(static_cast<double>(V));
-  }
-  double nonoverlap(i64 V) const {
-    return use_model ? analytic_completion(problem, *problem.model, V,
-                                           ScheduleKind::kNonOverlap)
-                     : model.total_nonoverlap(static_cast<double>(V));
-  }
-  double cpu_bound(i64 V) const {
-    const double v = static_cast<double>(V);
-    return use_model
-               ? analytic_completion_cpu_bound(problem, *problem.model, V)
-               : (model.c0_overlap + model.k / v) * model.cpu_side(v);
-  }
-};
-
 /// The sweep's private analysis: the problem with its cost model resolved
 /// once, so no point re-resolves it.
 pipeline::AnalysisArtifact analysis_for(const Problem& problem) {
@@ -72,18 +37,22 @@ pipeline::AnalysisArtifact analysis_for(const Problem& problem) {
       problem.mapped_dim(), false};
 }
 
-/// One sweep sample: tile at V (for g), then schedule, lower and simulate
-/// each enabled kind, reusing the worker's workspace (both runs share one
-/// tiled geometry, so the second reuses the comm table the first built).
-/// When both kinds run, the non-overlap plan is the overlap plan with the
-/// kind flipped (geometry is kind-independent), re-verified before use.  A
-/// kind that is off carries the ranking curves' predictions, or zeros
-/// without curves.
-SweepPoint measure_point(const pipeline::AnalysisArtifact& analysis, i64 V,
-                         bool do_overlap, bool do_nonoverlap,
-                         const RankingCurves* curves, const SweepOptions& opts,
-                         exec::RunWorkspace& workspace) {
+/// One sweep sample before simulation: V, g and the plan-level
+/// predictions, with the plans that produced them.
+struct PointPlans {
   SweepPoint pt;
+  pipeline::PlanArtifact over, nonover;
+};
+
+/// Tiles at V (for g), then schedules and lowers each enabled kind.  When
+/// both kinds are on, the non-overlap plan is the overlap plan with the
+/// kind flipped (geometry is kind-independent), re-verified before use.  A
+/// kind that is off carries zero predictions.
+PointPlans plan_point(const pipeline::AnalysisArtifact& analysis, i64 V,
+                      bool do_overlap, bool do_nonoverlap,
+                      const SweepOptions& opts) {
+  PointPlans out;
+  SweepPoint& pt = out.pt;
   pt.V = V;
   const Problem& problem = analysis.problem;
 
@@ -91,63 +60,67 @@ SweepPoint measure_point(const pipeline::AnalysisArtifact& analysis, i64 V,
       pipeline::run_tiling(analysis, V, ScheduleKind::kOverlap);
   pt.g = tiling.tiling.tile_volume();
 
-  pipeline::PlanArtifact over;
   if (do_overlap) {
     const pipeline::ScheduleArtifact sched =
         pipeline::run_scheduling(analysis, tiling, ScheduleKind::kOverlap);
-    over = pipeline::run_lowering(analysis, tiling, sched, nullptr,
-                                  opts.comm.level);
-    pt.predicted_overlap = over.predicted_seconds;
+    out.over = pipeline::run_lowering(analysis, tiling, sched, nullptr,
+                                      opts.comm.level);
+    pt.predicted_overlap = out.over.predicted_seconds;
     pt.predicted_cpu_bound =
-        predict_overlap_cpu_bound(*over.plan, *problem.model);
-  } else if (curves) {
-    pt.predicted_overlap = curves->overlap(V);
-    pt.predicted_cpu_bound = curves->cpu_bound(V);
+        predict_overlap_cpu_bound(*out.over.plan, *problem.model);
   }
 
-  pipeline::PlanArtifact nonover;
   if (do_nonoverlap) {
     const pipeline::ScheduleArtifact sched =
         pipeline::run_scheduling(analysis, tiling, ScheduleKind::kNonOverlap);
     if (do_overlap) {
-      auto flipped = std::make_shared<exec::TilePlan>(*over.plan);
+      auto flipped = std::make_shared<exec::TilePlan>(*out.over.plan);
       flipped->kind = ScheduleKind::kNonOverlap;
       pipeline::verify_lowered_plan(pipeline::Stage::kLowering, *flipped,
                                     tiling.tiling, analysis.mapped_dim,
                                     problem.procs, sched.length);
       const double predicted = predict_completion(*flipped, *problem.model);
-      nonover = pipeline::PlanArtifact{std::move(flipped), predicted};
+      out.nonover = pipeline::PlanArtifact{std::move(flipped), predicted};
     } else {
-      nonover = pipeline::run_lowering(analysis, tiling, sched, nullptr,
-                                       opts.comm.level);
+      out.nonover = pipeline::run_lowering(analysis, tiling, sched, nullptr,
+                                           opts.comm.level);
     }
-    pt.predicted_nonoverlap = nonover.predicted_seconds;
-  } else if (curves) {
-    pt.predicted_nonoverlap = curves->nonoverlap(V);
+    pt.predicted_nonoverlap = out.nonover.predicted_seconds;
   }
+  return out;
+}
 
+/// Simulates `plan` (timed) on `workspace` into pt.*t and pt.events, and
+/// returns its completion in ns.
+sim::Time simulate(const pipeline::AnalysisArtifact& analysis,
+                   const pipeline::PlanArtifact& plan,
+                   const SweepOptions& opts, exec::RunWorkspace& workspace,
+                   SweepPoint& pt, double SweepPoint::*t) {
   pipeline::BackendConfig config;
   config.comm = opts.comm;
   config.sink = opts.sink;
   config.workspace = &workspace;
-  const auto simulate = [&](const pipeline::PlanArtifact& plan) {
-    const pipeline::BackendArtifact b =
-        pipeline::run_backend(problem.nest, analysis, plan, config);
-    pt.events += b.run->events;
-    return b.run->seconds;
-  };
-  if (do_overlap) pt.t_overlap = simulate(over);
-  if (do_nonoverlap) pt.t_nonoverlap = simulate(nonover);
-  return pt;
+  const pipeline::BackendArtifact b =
+      pipeline::run_backend(analysis.problem.nest, analysis, plan, config);
+  pt.events += b.run->events;
+  pt.*t = b.run->seconds;
+  return b.run->completion;
 }
 
-bool bits_equal(double a, double b) {
-  return std::memcmp(&a, &b, sizeof a) == 0;
-}
-
-bool same_recommendation(const SweepVerdict& a, const SweepVerdict& b) {
-  return a.V == b.V && a.g == b.g && bits_equal(a.t, b.t) &&
-         bits_equal(a.predicted, b.predicted);
+/// One sweep sample: plan_point, then simulate each enabled kind on the
+/// worker's workspace (both runs share one tiled geometry, so the second
+/// reuses the comm table the first built).
+SweepPoint measure_point(const pipeline::AnalysisArtifact& analysis, i64 V,
+                         bool do_overlap, bool do_nonoverlap,
+                         const SweepOptions& opts,
+                         exec::RunWorkspace& workspace) {
+  PointPlans p = plan_point(analysis, V, do_overlap, do_nonoverlap, opts);
+  if (do_overlap)
+    simulate(analysis, p.over, opts, workspace, p.pt, &SweepPoint::t_overlap);
+  if (do_nonoverlap)
+    simulate(analysis, p.nonover, opts, workspace, p.pt,
+             &SweepPoint::t_nonoverlap);
+  return p.pt;
 }
 
 /// The executing thread's persistent run workspace.  Keyed by thread (not
@@ -159,6 +132,90 @@ bool same_recommendation(const SweepVerdict& a, const SweepVerdict& b) {
 exec::RunWorkspace& arena_workspace() {
   thread_local exec::RunWorkspace workspace;
   return workspace;
+}
+
+/// Index of the smallest bound, the lowest index on ties.
+std::size_t argmin(const std::vector<sim::Time>& bounds) {
+  return static_cast<std::size_t>(
+      std::min_element(bounds.begin(), bounds.end()) - bounds.begin());
+}
+
+/// Bound-driven selection (sweep_select's default mode): bound every
+/// height for both kinds, simulate each kind's smallest-bound height, then
+/// every other height whose bound does not exceed that kind's best
+/// simulated completion.  Every comparison is in integer ns, and the
+/// simulated set depends only on bounds and completions, never on the
+/// thread interleaving.
+void select_by_bound(const pipeline::AnalysisArtifact& analysis,
+                     const std::vector<i64>& heights,
+                     const SweepOptions& opts, int threads,
+                     SweepSelection& sel) {
+  const std::size_t n = heights.size();
+  const std::shared_ptr<const mach::Model> model =
+      analysis.problem.cost_model();
+  std::vector<PointPlans> plans(n);
+  std::vector<sim::Time> bound_over(n), bound_non(n);
+  parallel_for_index(threads, n, [&](int, std::size_t i) {
+    plans[i] = plan_point(analysis, heights[i], true, true, opts);
+    sel.points[i] = plans[i].pt;
+    exec::RunWorkspace& ws = arena_workspace();
+    bound_over[i] =
+        exec::completion_lower_bound(*plans[i].over.plan, model, &ws);
+    bound_non[i] =
+        exec::completion_lower_bound(*plans[i].nonover.plan, model, &ws);
+  });
+
+  struct Job {
+    std::size_t i;
+    bool over, non;
+  };
+  std::vector<sim::Time> ns_over(n, 0), ns_non(n, 0);
+  const auto run = [&](const std::vector<Job>& jobs) {
+    parallel_for_index(threads, jobs.size(), [&](int worker, std::size_t j) {
+      const Job& job = jobs[j];
+      const obs::Time t0 = opts.sink ? wall_ns() : 0;
+      exec::RunWorkspace& ws = arena_workspace();
+      SweepPoint& pt = sel.points[job.i];
+      if (job.over) {
+        ns_over[job.i] = simulate(analysis, plans[job.i].over, opts, ws, pt,
+                                  &SweepPoint::t_overlap);
+        sel.simulated_overlap[job.i] = 1;
+      }
+      if (job.non) {
+        ns_non[job.i] = simulate(analysis, plans[job.i].nonover, opts, ws,
+                                 pt, &SweepPoint::t_nonoverlap);
+        sel.simulated_nonoverlap[job.i] = 1;
+      }
+      if (opts.sink)
+        opts.sink->host_span("sweep V=" + std::to_string(heights[job.i]), t0,
+                             wall_ns(), worker);
+    });
+  };
+
+  const std::size_t first_over = argmin(bound_over);
+  const std::size_t first_non = argmin(bound_non);
+  if (first_over == first_non)
+    run({{first_over, true, true}});
+  else
+    run({{first_over, true, false}, {first_non, false, true}});
+
+  std::vector<Job> rest;
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool over =
+        !sel.simulated_overlap[i] && bound_over[i] <= ns_over[first_over];
+    const bool non =
+        !sel.simulated_nonoverlap[i] && bound_non[i] <= ns_non[first_non];
+    if (over || non) rest.push_back({i, over, non});
+  }
+  run(rest);
+
+  if (opts.sink)
+    for (std::size_t i = 0; i < n; ++i)
+      opts.sink->counter(
+          sel.simulated_overlap[i] || sel.simulated_nonoverlap[i]
+              ? "sweep.points"
+              : "sweep.pruned_points",
+          1.0);
 }
 
 }  // namespace
@@ -174,64 +231,37 @@ std::vector<SweepPoint> sweep_tile_height(const Problem& problem,
 SweepSelection sweep_select(const Problem& problem,
                             const std::vector<i64>& heights,
                             const SweepOptions& opts) {
-  TILO_REQUIRE(opts.exhaustive || opts.prune_slack >= 1.0,
-               "prune_slack must be >= 1, got ", opts.prune_slack);
   const int threads = resolve_threads(opts.threads);
   const pipeline::AnalysisArtifact analysis = analysis_for(problem);
   const std::size_t n = heights.size();
 
   SweepSelection sel;
   sel.points.assign(n, {});
-  sel.simulated_overlap.assign(n, 1);
-  sel.simulated_nonoverlap.assign(n, 1);
+  sel.simulated_overlap.assign(n, opts.exhaustive);
+  sel.simulated_nonoverlap.assign(n, opts.exhaustive);
   sel.total_runs = 2 * static_cast<i64>(n);
   if (n == 0) return sel;
 
-  // Analytic ranking (pruned mode only — the exhaustive escape hatch ranks
-  // nothing, so it runs on nests without an analytic model): predicted
-  // completion per kind, its minimum, and the contending region
-  // { V : T_model(V) <= slack * min }.
-  std::optional<RankingCurves> curves;
-  if (!opts.exhaustive) {
-    curves.emplace(analysis.problem);
-    std::vector<double> over(n), non(n);
-    std::size_t arg_over = 0, arg_non = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      over[i] = curves->overlap(heights[i]);
-      non[i] = curves->nonoverlap(heights[i]);
-      if (over[i] < over[arg_over]) arg_over = i;
-      if (non[i] < non[arg_non]) arg_non = i;
-    }
-    sel.V_analytic_overlap = heights[arg_over];
-    sel.V_analytic_nonoverlap = heights[arg_non];
-    for (std::size_t i = 0; i < n; ++i) {
-      sel.simulated_overlap[i] = over[i] <= opts.prune_slack * over[arg_over];
-      sel.simulated_nonoverlap[i] = non[i] <= opts.prune_slack * non[arg_non];
-    }
+  if (opts.exhaustive) {
+    // points[i] is keyed by index, so the thread interleaving cannot
+    // reorder or alter results.
+    parallel_for_index(threads, n, [&](int worker, std::size_t i) {
+      const obs::Time t0 = opts.sink ? wall_ns() : 0;
+      sel.points[i] = measure_point(analysis, heights[i], true, true, opts,
+                                    arena_workspace());
+      if (opts.sink) {
+        opts.sink->host_span("sweep V=" + std::to_string(heights[i]), t0,
+                             wall_ns(), worker);
+        opts.sink->counter("sweep.points", 1.0);
+      }
+    });
+  } else {
+    select_by_bound(analysis, heights, opts, threads, sel);
   }
 
-  // Simulate the contenders; pruned points only pay a tiling (for g) and
-  // carry the model's predictions.  points[i] is keyed by index, so the
-  // thread interleaving cannot reorder or alter results.
-  parallel_for_index(threads, n, [&](int worker, std::size_t i) {
-    const bool do_over = sel.simulated_overlap[i] != 0;
-    const bool do_non = sel.simulated_nonoverlap[i] != 0;
-    const obs::Time t0 = opts.sink ? wall_ns() : 0;
-    sel.points[i] =
-        measure_point(analysis, heights[i], do_over, do_non,
-                      curves ? &*curves : nullptr, opts, arena_workspace());
-    if (opts.sink) {
-      opts.sink->host_span("sweep V=" + std::to_string(heights[i]), t0,
-                           wall_ns(), worker);
-      opts.sink->counter((do_over || do_non) ? "sweep.points"
-                                             : "sweep.pruned_points",
-                         1.0);
-    }
-  });
-
   // Recommendations: strict-< argmin over the simulated subset, ties
-  // resolved by input order — the same rule on both the pruned and the
-  // exhaustive path.
+  // resolved by input order — the same rule on both the bound-driven and
+  // the exhaustive path.
   bool seen_over = false, seen_non = false;
   for (std::size_t i = 0; i < n; ++i) {
     const SweepPoint& pt = sel.points[i];
@@ -251,28 +281,6 @@ SweepSelection sweep_select(const Problem& problem,
         sel.simulated_overlap[i] + sel.simulated_nonoverlap[i];
   }
   return sel;
-}
-
-SweepSelection verify_pruned_selection(const Problem& problem,
-                                       const std::vector<i64>& heights,
-                                       const SweepOptions& opts) {
-  SweepOptions pruned_opts = opts;
-  pruned_opts.exhaustive = false;
-  const SweepSelection pruned = sweep_select(problem, heights, pruned_opts);
-  SweepOptions exhaustive_opts = opts;
-  exhaustive_opts.exhaustive = true;
-  const SweepSelection full = sweep_select(problem, heights, exhaustive_opts);
-  const auto require_same = [&](const SweepVerdict& p, const SweepVerdict& f,
-                                const char* kind) {
-    TILO_REQUIRE(same_recommendation(p, f),
-                 "pruned sweep diverged from exhaustive (", kind,
-                 "): pruned V=", p.V, " t=", p.t, " vs exhaustive V=", f.V,
-                 " t=", f.t, " — prune_slack ", opts.prune_slack,
-                 " leaves the true optimum outside the contending region");
-  };
-  require_same(pruned.best_overlap, full.best_overlap, "overlap");
-  require_same(pruned.best_nonoverlap, full.best_nonoverlap, "non-overlap");
-  return pruned;
 }
 
 std::vector<i64> height_grid(i64 lo, i64 hi, double ratio) {
@@ -300,9 +308,8 @@ Autotune autotune_tile_height(const Problem& problem, ScheduleKind kind,
     parallel_for_index(
         threads, todo.size(), [&](int worker, std::size_t i) {
           const obs::Time t0 = opts.sink ? wall_ns() : 0;
-          const SweepPoint pt =
-              measure_point(analysis, todo[i], overlap, !overlap, nullptr,
-                            opts, arena_workspace());
+          const SweepPoint pt = measure_point(
+              analysis, todo[i], overlap, !overlap, opts, arena_workspace());
           values[i] = overlap ? pt.t_overlap : pt.t_nonoverlap;
           if (opts.sink) {
             opts.sink->host_span("probe V=" + std::to_string(todo[i]), t0,

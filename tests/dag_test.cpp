@@ -50,10 +50,18 @@ TEST(DagCholeskyTest, WeightsFollowTheKernelIterationCounts) {
   const i64 b = 16;
   const auto dag = workload::make_cholesky_dag(3, b);
   for (const workload::DagTask& t : dag->tasks()) {
-    if (t.label.rfind("potrf", 0) == 0) EXPECT_EQ(t.iterations, b * b * b / 3);
-    if (t.label.rfind("trsm", 0) == 0) EXPECT_EQ(t.iterations, b * b * b);
-    if (t.label.rfind("syrk", 0) == 0) EXPECT_EQ(t.iterations, b * b * b);
-    if (t.label.rfind("gemm", 0) == 0) EXPECT_EQ(t.iterations, 2 * b * b * b);
+    if (t.label.rfind("potrf", 0) == 0) {
+      EXPECT_EQ(t.iterations, b * b * b / 3);
+    }
+    if (t.label.rfind("trsm", 0) == 0) {
+      EXPECT_EQ(t.iterations, b * b * b);
+    }
+    if (t.label.rfind("syrk", 0) == 0) {
+      EXPECT_EQ(t.iterations, b * b * b);
+    }
+    if (t.label.rfind("gemm", 0) == 0) {
+      EXPECT_EQ(t.iterations, 2 * b * b * b);
+    }
     // Every edge moves one b x b tile of doubles.
     for (i64 bytes : t.dep_bytes) EXPECT_EQ(bytes, b * b * 8);
     EXPECT_EQ(t.dep_bytes.size(), t.deps.size());

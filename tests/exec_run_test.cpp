@@ -41,6 +41,12 @@ std::shared_ptr<const mach::Model> fast_model() {
   return std::make_shared<mach::IdealOverlapModel>(fast_params());
 }
 
+RunOptions functional_options() {
+  RunOptions opts;
+  opts.functional = true;
+  return opts;
+}
+
 /// Every RunResult field of `got` equals `want`'s, field values included.
 void expect_same_result(const RunResult& got, const RunResult& want,
                         const std::string& label) {
@@ -109,7 +115,7 @@ TEST(ExecFunctionalTest, SingleRankDegenerateCase) {
   const TilePlan plan = exec::make_plan_with_procs(
       nest, RectTiling(Vec{4, 4, 2}), ScheduleKind::kOverlap, Vec{1, 1, 1});
   const RunResult r = exec::run_plan(nest, plan, fast_model(),
-                                     RunOptions{.functional = true});
+                                     functional_options());
   EXPECT_EQ(r.messages, 0);  // everything is rank-local
   EXPECT_DOUBLE_EQ(exec::run_and_validate(nest, plan, fast_params()), 0.0);
 }
@@ -137,7 +143,7 @@ TEST(ExecFunctionalTest, MoreThan65536TilesMatchSequential) {
         nest, RectTiling(Vec{2, 2}), kind, 1, Vec{4, 1});
     ASSERT_GT(plan.space.num_tiles(), i64{1} << 16);
     const RunResult r = exec::run_plan(nest, plan, fast_model(),
-                                       RunOptions{.functional = true});
+                                       functional_options());
     ASSERT_TRUE(r.field.has_value());
     EXPECT_GT(r.messages, 0);
     EXPECT_EQ(loop::max_abs_diff(*r.field, ref), 0.0)
@@ -192,7 +198,7 @@ TEST(ExecTimedTest, FunctionalAndTimedRunsHaveIdenticalTiming) {
         exec::make_plan(nest, RectTiling(Vec{4, 4, 4}), kind);
     const RunResult timed = exec::run_plan(nest, plan, fast_model());
     const RunResult func = exec::run_plan(nest, plan, fast_model(),
-                                          RunOptions{.functional = true});
+                                          functional_options());
     EXPECT_EQ(timed.completion, func.completion);
     EXPECT_EQ(timed.messages, func.messages);
   }
@@ -406,7 +412,7 @@ TEST(ExecErrorTest, FunctionalNeedsKernel) {
   const TilePlan plan = exec::make_plan(bare, RectTiling(Vec{4, 4}),
                                         ScheduleKind::kOverlap);
   EXPECT_THROW(exec::run_plan(bare, plan, fast_model(),
-                              RunOptions{.functional = true}),
+                              functional_options()),
                util::Error);
 }
 

@@ -35,6 +35,12 @@ std::shared_ptr<const mach::Model> tiny_model() {
   return std::make_shared<mach::IdealOverlapModel>(tiny_params());
 }
 
+exec::RunOptions functional_options() {
+  exec::RunOptions opts;
+  opts.functional = true;
+  return opts;
+}
+
 LoopNest stencil4d() {
   return LoopNest(
       "stencil4d", Box::from_extents(Vec{6, 6, 6, 20}),
@@ -106,7 +112,7 @@ TEST(HighDimTest, OneDimensionalDegenerateChain) {
         exec::make_plan(nest, RectTiling(Vec{8}), kind);
     EXPECT_EQ(plan.mapping.num_ranks(), 1);
     const exec::RunResult r = exec::run_plan(
-        nest, plan, tiny_model(), exec::RunOptions{.functional = true});
+        nest, plan, tiny_model(), functional_options());
     EXPECT_EQ(r.messages, 0);
     EXPECT_DOUBLE_EQ(exec::run_and_validate(nest, plan, tiny_params()),
                      0.0);

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "tilo/exec/regions.hpp"
 #include "tilo/exec/run.hpp"
@@ -14,6 +16,8 @@
 #include "tilo/tiling/cost.hpp"
 #include "tilo/core/predict.hpp"
 #include "tilo/core/problem.hpp"
+#include "tilo/core/sweep.hpp"
+#include "tilo/machine/model.hpp"
 #include "tilo/util/rng.hpp"
 
 using namespace tilo;
@@ -182,7 +186,7 @@ TEST_P(SchedulePropertiesTest, CpuBoundPredictionTracksSimulation) {
   const i64 V = 32 << (GetParam() % 4);  // 32, 64, 128, 256
   const core::Problem p{loop::stencil3d_nest(16, 16, 4096),
                         mach::MachineParams::paper_cluster(),
-                        Vec{4, 4, 1}};
+                        Vec{4, 4, 1}, nullptr};
   const exec::TilePlan plan = p.plan(V, ScheduleKind::kOverlap);
   const double predicted = core::predict_completion(plan, *p.cost_model());
   const double simulated = exec::run_plan(p.nest, plan, p.cost_model()).seconds;
@@ -223,3 +227,39 @@ TEST_P(TimingMonotonicityTest, OverlapNeverLosesOnStencil) {
 
 INSTANTIATE_TEST_SUITE_P(TileHeights, TimingMonotonicityTest,
                          ::testing::Range(0, 6));  // V = 4 .. 128
+
+// exec::completion_lower_bound never exceeds the simulated completion at
+// any height of the paper's V grid, on spaces (i)-(iii), under every
+// registered model, for both schedule kinds: the bound-driven sweep's
+// verdicts rest on it.
+class BoundPropertyTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(BoundPropertyTest, NeverAboveTheSimulationOnPaperGrids) {
+  const std::vector<std::string> names = mach::model_names();
+  const std::size_t param = static_cast<std::size_t>(GetParam());
+  const std::string& name = names[param % names.size()];
+  const core::Problem spaces[] = {core::paper_problem_i(),
+                                  core::paper_problem_ii(),
+                                  core::paper_problem_iii()};
+  core::Problem problem = spaces[param / names.size()];
+  problem.model = mach::make_model(name, problem.machine);
+  exec::RunWorkspace ws;
+  for (const i64 V :
+       core::height_grid(8, problem.max_tile_height(), 1.25)) {
+    for (const ScheduleKind kind :
+         {ScheduleKind::kOverlap, ScheduleKind::kNonOverlap}) {
+      const exec::TilePlan plan = problem.plan(V, kind);
+      const sim::Time bound =
+          exec::completion_lower_bound(plan, problem.model, &ws);
+      const sim::Time sim =
+          exec::run_plan(problem.nest, plan, problem.model, {}, &ws)
+              .completion;
+      EXPECT_LE(bound, sim) << name << " V=" << V << " kind "
+                            << static_cast<int>(kind);
+      EXPECT_GT(bound, 0);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(SpacesTimesModels, BoundPropertyTest,
+                         ::testing::Range(0, 21));  // 3 spaces x 7 models

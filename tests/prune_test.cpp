@@ -1,16 +1,18 @@
-// Analytic pre-pruning property suites (DESIGN.md §13): the closed-form
-// model (eqs. 3-5) ranks the V grid, only the contending region around
-// its argmin is simulated, and the selection must still be bit-identical
-// to simulating everything.  Checked on the three paper spaces, on
-// randomized instances, and — negatively — with a slack too tight to
-// contain the true optimum.
+// Bound-driven selection property suites (DESIGN.md §13): every height is
+// bounded with exec::completion_lower_bound, only heights the bound cannot
+// rule out are simulated, and the selection must still be bit-identical
+// to simulating everything.  Checked on the three paper spaces and on
+// randomized instances, with the exhaustive sweep as the oracle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <string>
 
 #include "tilo/core/analytic.hpp"
 #include "tilo/core/problem.hpp"
 #include "tilo/core/sweep.hpp"
+#include "tilo/exec/run.hpp"
 #include "tilo/loopnest/workloads.hpp"
 #include "tilo/util/error.hpp"
 #include "tilo/util/rng.hpp"
@@ -20,6 +22,7 @@ using core::Problem;
 using core::SweepOptions;
 using core::SweepSelection;
 using core::SweepVerdict;
+using core::ScheduleKind;
 using lat::Vec;
 using util::i64;
 
@@ -41,105 +44,130 @@ bool verdict_bits_equal(const SweepVerdict& a, const SweepVerdict& b) {
   return std::memcmp(&a, &b, sizeof(SweepVerdict)) == 0;
 }
 
-void expect_pruned_matches_exhaustive(const Problem& problem,
-                                      const std::vector<i64>& heights,
-                                      const SweepOptions& opts) {
-  SweepOptions pruned_opts = opts;
-  pruned_opts.exhaustive = false;
-  const SweepSelection pruned =
-      core::sweep_select(problem, heights, pruned_opts);
-  SweepOptions ex_opts = opts;
-  ex_opts.exhaustive = true;
-  const SweepSelection full = core::sweep_select(problem, heights, ex_opts);
-
-  EXPECT_TRUE(verdict_bits_equal(pruned.best_overlap, full.best_overlap))
-      << "overlap verdict diverged: pruned V=" << pruned.best_overlap.V
-      << " exhaustive V=" << full.best_overlap.V;
-  EXPECT_TRUE(
-      verdict_bits_equal(pruned.best_nonoverlap, full.best_nonoverlap))
-      << "non-overlap verdict diverged: pruned V="
-      << pruned.best_nonoverlap.V
-      << " exhaustive V=" << full.best_nonoverlap.V;
-  // Pruning must actually prune (the grids here are wide enough that the
-  // contending region is a strict subset) and every simulated point must
-  // carry the simulator's bytes, not the model's.
-  EXPECT_LT(pruned.simulated_runs, full.simulated_runs);
-  EXPECT_EQ(full.simulated_runs, full.total_runs);
+/// What the selection guarantees for one kind, with each height bounded
+/// independently of the sweep: the smallest-bound height is simulated,
+/// every simulated height's bound is at most its completion, and every
+/// height whose bound is at most the verdict's completion was simulated
+/// (so no left-out height can win or tie).
+void expect_bound_covers(const Problem& problem,
+                         const std::vector<i64>& heights,
+                         const SweepSelection& sel, ScheduleKind kind) {
+  const bool over = kind == ScheduleKind::kOverlap;
+  const std::vector<std::uint8_t>& simulated =
+      over ? sel.simulated_overlap : sel.simulated_nonoverlap;
+  const SweepVerdict& best = over ? sel.best_overlap : sel.best_nonoverlap;
+  exec::RunWorkspace ws;
+  std::vector<sim::Time> bounds;
+  for (const i64 V : heights)
+    bounds.push_back(exec::completion_lower_bound(
+        problem.plan(V, kind), problem.cost_model(), &ws));
+  EXPECT_TRUE(simulated[static_cast<std::size_t>(
+      std::min_element(bounds.begin(), bounds.end()) - bounds.begin())]);
   for (std::size_t i = 0; i < heights.size(); ++i) {
-    if (!pruned.simulated_overlap[i]) continue;
-    EXPECT_EQ(pruned.points[i].t_overlap, full.points[i].t_overlap)
-        << "simulated overlap time differs at V=" << heights[i];
-    EXPECT_EQ(pruned.points[i].g, full.points[i].g);
+    const double bound = sim::to_seconds(bounds[i]);
+    const double t =
+        over ? sel.points[i].t_overlap : sel.points[i].t_nonoverlap;
+    if (simulated[i]) {
+      EXPECT_LE(bound, t) << "V=" << heights[i];
+    }
+    if (bound <= best.t) {
+      EXPECT_TRUE(simulated[i])
+          << "V=" << heights[i] << " bound " << bound << " <= verdict t "
+          << best.t << " but not simulated";
+    }
   }
+}
+
+/// The test oracle: runs the bound-driven and the exhaustive sweep and
+/// checks the verdicts bit for bit, the bound's guarantees, and that every
+/// point carries the fields one measured point of both kinds carries.
+/// Returns the bound-driven selection.
+SweepSelection verify_selection(const Problem& problem,
+                                const std::vector<i64>& heights,
+                                SweepOptions opts = {}) {
+  opts.exhaustive = false;
+  const SweepSelection sel = core::sweep_select(problem, heights, opts);
+  opts.exhaustive = true;
+  const SweepSelection full = core::sweep_select(problem, heights, opts);
+
+  EXPECT_TRUE(verdict_bits_equal(sel.best_overlap, full.best_overlap))
+      << "overlap verdict diverged: bound-driven V=" << sel.best_overlap.V
+      << " exhaustive V=" << full.best_overlap.V;
+  EXPECT_TRUE(verdict_bits_equal(sel.best_nonoverlap, full.best_nonoverlap))
+      << "non-overlap verdict diverged: bound-driven V="
+      << sel.best_nonoverlap.V
+      << " exhaustive V=" << full.best_nonoverlap.V;
+  EXPECT_EQ(full.simulated_runs, full.total_runs);
+  for (const ScheduleKind kind :
+       {ScheduleKind::kOverlap, ScheduleKind::kNonOverlap})
+    expect_bound_covers(problem, heights, sel, kind);
+
+  i64 runs = 0;
+  for (std::size_t i = 0; i < heights.size(); ++i) {
+    const core::SweepPoint& a = sel.points[i];
+    const core::SweepPoint& b = full.points[i];
+    const bool over = sel.simulated_overlap[i];
+    const bool non = sel.simulated_nonoverlap[i];
+    runs += over + non;
+    EXPECT_EQ(a.V, b.V);
+    EXPECT_EQ(a.g, b.g);
+    EXPECT_EQ(a.predicted_overlap, b.predicted_overlap) << "V=" << a.V;
+    EXPECT_EQ(a.predicted_nonoverlap, b.predicted_nonoverlap) << "V=" << a.V;
+    EXPECT_EQ(a.predicted_cpu_bound, b.predicted_cpu_bound) << "V=" << a.V;
+    EXPECT_EQ(a.t_overlap, over ? b.t_overlap : 0.0) << "V=" << a.V;
+    EXPECT_EQ(a.t_nonoverlap, non ? b.t_nonoverlap : 0.0) << "V=" << a.V;
+    if (over && non) {
+      EXPECT_EQ(a.events, b.events) << "V=" << a.V;
+    }
+    if (!over && !non) {
+      EXPECT_EQ(a.events, 0u) << "V=" << a.V;
+    }
+  }
+  EXPECT_EQ(sel.simulated_runs, runs);
+  return sel;
 }
 
 }  // namespace
 
 class PruneSelectPaperSpaces : public ::testing::TestWithParam<int> {};
 
-/// The certified default: on each paper experiment space the pruned
-/// selection is bit-identical to the exhaustive one at kDefaultPruneSlack.
+/// On each paper experiment space the bound-driven selection is
+/// bit-identical to the exhaustive one, and it does prune.
 TEST_P(PruneSelectPaperSpaces, DefaultSlackMatchesExhaustive) {
   const Problem problem = paper_space(GetParam());
-  expect_pruned_matches_exhaustive(problem, grid_for(problem), {});
-}
-
-/// verify_pruned_selection re-runs exhaustively and certifies the match;
-/// at the default slack it must return (not throw) on every paper space.
-TEST_P(PruneSelectPaperSpaces, VerifierCertifiesDefaultSlack) {
-  const Problem problem = paper_space(GetParam());
-  const SweepSelection sel =
-      core::verify_pruned_selection(problem, grid_for(problem));
-  EXPECT_GT(sel.best_overlap.V, 0);
-  EXPECT_GT(sel.best_nonoverlap.V, 0);
+  const SweepSelection sel = verify_selection(problem, grid_for(problem));
   EXPECT_LT(sel.simulated_runs, sel.total_runs);
 }
 
-/// The analytic argmin must itself survive pruning: the model can never
-/// rule out its own minimizer, whatever the slack.
-TEST_P(PruneSelectPaperSpaces, AnalyticArgminAlwaysContends) {
+/// The oracle certifies the selection on every paper space, and at most
+/// the runs the slack pruning it replaced simulated on the paper grid.
+TEST_P(PruneSelectPaperSpaces, VerifierCertifiesDefaultSlack) {
+  const Problem problem = paper_space(GetParam());
+  const std::vector<i64> heights =
+      core::height_grid(8, problem.max_tile_height(), 1.25);
+  const SweepSelection sel = verify_selection(problem, heights);
+  EXPECT_GT(sel.best_overlap.V, 0);
+  EXPECT_GT(sel.best_nonoverlap.V, 0);
+  const i64 slack_runs[] = {27, 30, 25};
+  EXPECT_LT(sel.simulated_runs, slack_runs[GetParam()]);
+}
+
+/// Each kind's smallest-bound height is simulated, and so is every height
+/// whose bound does not exceed the verdict's completion — ties included,
+/// because the lowest V wins them.
+TEST_P(PruneSelectPaperSpaces, EveryHeightWithinTheVerdictIsSimulated) {
   const Problem problem = paper_space(GetParam());
   const std::vector<i64> heights = grid_for(problem);
-  SweepOptions opts;
-  opts.prune_slack = 1.0;  // tightest legal region
-  const SweepSelection sel = core::sweep_select(problem, heights, opts);
-  bool overlap_argmin_simulated = false;
-  bool nonoverlap_argmin_simulated = false;
-  for (std::size_t i = 0; i < heights.size(); ++i) {
-    if (heights[i] == sel.V_analytic_overlap)
-      overlap_argmin_simulated = sel.simulated_overlap[i];
-    if (heights[i] == sel.V_analytic_nonoverlap)
-      nonoverlap_argmin_simulated = sel.simulated_nonoverlap[i];
+  const SweepSelection sel = core::sweep_select(problem, heights);
+  for (const ScheduleKind kind :
+       {ScheduleKind::kOverlap, ScheduleKind::kNonOverlap}) {
+    SCOPED_TRACE(kind == ScheduleKind::kOverlap ? "overlap" : "non-overlap");
+    expect_bound_covers(problem, heights, sel, kind);
   }
-  EXPECT_TRUE(overlap_argmin_simulated);
-  EXPECT_TRUE(nonoverlap_argmin_simulated);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSpaces, PruneSelectPaperSpaces,
                          ::testing::Values(0, 1, 2));
-
-/// The negative property: slack 1.0 keeps only the model's own argmin
-/// neighborhood, which on space (i) excludes the simulated optimum
-/// (V=227 vs the analytic argmin 181) — the verifier must detect the
-/// divergence and throw instead of silently returning the wrong tile.
-TEST(PruneSelectTest, VerifierDetectsOverTightSlack) {
-  const Problem problem = core::paper_problem_i();
-  SweepOptions opts;
-  opts.prune_slack = 1.0;
-  EXPECT_THROW(
-      core::verify_pruned_selection(problem, grid_for(problem), opts),
-      util::Error);
-}
-
-/// Slack below 1 can never certify anything (the region could even lose
-/// the analytic argmin): rejected up front.
-TEST(PruneSelectTest, SlackBelowOneIsRejected) {
-  const Problem problem = core::paper_problem_iii();
-  SweepOptions opts;
-  opts.prune_slack = 0.5;
-  EXPECT_THROW(core::sweep_select(problem, grid_for(problem), opts),
-               util::Error);
-}
 
 namespace {
 
@@ -204,11 +232,12 @@ TEST(PruneSelectTest, ExhaustiveModeNeedsNoAnalyticModel) {
   expect_exhaustive_matches_plain(problem, heights, {});
 }
 
-/// Randomized instances: the contending region certified by the verifier
-/// (generous slack — these nests are far from the calibrated paper
-/// machines) still yields bit-identical selections.
+/// Randomized instances, far from the calibrated paper machines and under
+/// every registered model: the bound-driven selection, with no slack at
+/// all, is bit-identical to the exhaustive one.
 TEST(PruneSelectTest, RandomInstancesMatchExhaustive) {
   util::Rng rng(20260808);
+  const std::vector<std::string> models = mach::model_names();
   int ran = 0;
   for (int trial = 0; trial < 8; ++trial) {
     loop::RandomNestOptions nopts;
@@ -221,12 +250,14 @@ TEST(PruneSelectTest, RandomInstancesMatchExhaustive) {
     const loop::LoopNest nest = loop::random_nest(rng, nopts);
 
     mach::MachineParams machine = mach::MachineParams::paper_cluster();
-    const Problem probe{nest, machine, Vec(nest.dims(), 1)};
+    const Problem probe{nest, machine, Vec(nest.dims(), 1), nullptr};
     Vec procs(nest.dims(), 1);
     for (std::size_t d = 0; d < nest.dims(); ++d)
       if (d != probe.mapped_dim()) procs[d] = rng.uniform(1, 4);
-    const Problem problem{nest, machine, procs};
+    Problem problem{nest, machine, procs, nullptr};
     if (problem.max_tile_height() < 8) continue;
+    problem.model = mach::make_model(
+        models[static_cast<std::size_t>(trial) % models.size()], machine);
 
     // Legal heights only: every tile side must exceed the largest
     // dependence component in its dimension.
@@ -236,18 +267,16 @@ TEST(PruneSelectTest, RandomInstancesMatchExhaustive) {
     const std::vector<i64> heights =
         core::height_grid(lo, problem.max_tile_height(), 1.4);
     if (heights.size() < 4) continue;
-    SweepOptions opts;
-    opts.prune_slack = 2.0;
-    SCOPED_TRACE("trial " + std::to_string(trial));
-    EXPECT_NO_THROW(
-        core::verify_pruned_selection(problem, heights, opts));
+    SCOPED_TRACE("trial " + std::to_string(trial) + " model " +
+                 problem.model->kind());
+    verify_selection(problem, heights);
     ++ran;
   }
   EXPECT_GE(ran, 4) << "random generator skipped too many instances";
 }
 
-/// Threaded pruned sweeps (suite name matches the TSan preset filter):
-/// the worker pool, the thread-local arenas and the pruning mask must
+/// Threaded selections (suite name matches the TSan preset filter): the
+/// worker pool, the thread-local arenas and the two simulation phases must
 /// compose without changing a byte of the selection.
 TEST(ParallelPruneTest, ThreadedSelectionIdenticalToSerial) {
   const Problem problem = core::paper_problem_i();
@@ -267,5 +296,26 @@ TEST(ParallelPruneTest, ThreadedSelectionIdenticalToSerial) {
     EXPECT_EQ(serial.points[i].t_nonoverlap,
               threaded.points[i].t_nonoverlap);
     EXPECT_EQ(serial.simulated_overlap[i], threaded.simulated_overlap[i]);
+    EXPECT_EQ(serial.points[i].events, threaded.points[i].events);
+  }
+}
+
+/// Which heights are simulated is a function of the bounds and of the
+/// completions they are compared with, never of the thread interleaving.
+TEST(ParallelPruneTest, SimulatedSetIsThreadCountInvariant) {
+  for (int space = 0; space < 3; ++space) {
+    const Problem problem = paper_space(space);
+    const std::vector<i64> heights = grid_for(problem);
+    const SweepSelection serial = core::sweep_select(problem, heights, {});
+    for (const int threads : {2, 4}) {
+      SweepOptions par;
+      par.threads = threads;
+      const SweepSelection sel = core::sweep_select(problem, heights, par);
+      EXPECT_EQ(sel.simulated_overlap, serial.simulated_overlap)
+          << "space " << space << " threads " << threads;
+      EXPECT_EQ(sel.simulated_nonoverlap, serial.simulated_nonoverlap)
+          << "space " << space << " threads " << threads;
+      EXPECT_EQ(sel.simulated_runs, serial.simulated_runs);
+    }
   }
 }

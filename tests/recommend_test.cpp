@@ -43,7 +43,7 @@ TEST(RecommendTest, ChoiceMinimizesPredictionOverAllGrids) {
   // caps exclude them, so the comparison set does too.)
   for (i64 p0 : {2, 4, 8}) {
     const i64 p1 = 16 / p0;
-    core::Problem alt{nest, m, Vec{p0, p1, 1}};
+    core::Problem alt{nest, m, Vec{p0, p1, 1}, nullptr};
     const auto opt = core::analytic_optimal_height_overlap(alt);
     const double predicted = core::predict_completion(
         alt.plan(opt.V, ScheduleKind::kOverlap), *alt.cost_model());
